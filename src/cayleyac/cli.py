@@ -232,7 +232,6 @@ def _emit(payload: dict) -> None:
 def run_command(argv) -> int:
     parser = argparse.ArgumentParser(prog="cayleyac")
     parser.add_argument("--cache-dir", default=os.environ.get("CAYLEYAC_CACHE_DIR"))
-    parser.add_argument("--jobs", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ball = sub.add_parser("ball", help="build (or load) a ball and report sphere sizes")
@@ -275,7 +274,7 @@ def _dispatch(args) -> int:
     if args.command == "ball":
         spec = _load_spec(args.group)
         group = build_group(spec)
-        ball = cached_ball(group, args.radius, cache_dir=args.cache_dir, jobs=args.jobs)
+        ball = cached_ball(group, args.radius, cache_dir=args.cache_dir)
         _emit({
             "group": spec.name,
             "fingerprint": spec.fingerprint,
@@ -288,8 +287,8 @@ def _dispatch(args) -> int:
     if args.command == "ac-check":
         spec = _load_spec(args.group)
         group = build_group(spec)
-        ball = cached_ball(group, args.radius, cache_dir=args.cache_dir, jobs=args.jobs)
-        profile = ac_profile(ball, args.m, args.radius, jobs=args.jobs, name=spec.name)
+        ball = cached_ball(group, args.radius, cache_dir=args.cache_dir)
+        profile = ac_profile(ball, args.m, args.radius, name=spec.name)
         text = profile.to_json() if args.out.endswith(".json") else profile.to_csv()
         with open(args.out, "w") as fh:
             fh.write(text)

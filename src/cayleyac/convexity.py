@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -127,7 +126,7 @@ class ConvexityProfile:
 
 
 def ac_profile(ball: Ball, m: int, n_max: Optional[int] = None,
-               cap: Optional[Callable[[int], int]] = None, jobs: int = 1,
+               cap: Optional[Callable[[int], int]] = None,
                name: Optional[str] = None) -> ConvexityProfile:
     """K(m,n) for every n up to n_max, measured on a prebuilt ball."""
     if n_max is None:
@@ -141,34 +140,19 @@ def ac_profile(ball: Ball, m: int, n_max: Optional[int] = None,
         m=m,
         cap_rule="4n+64" if cap is None else "custom",
     )
-    ball.adjacency()  # built once, shared by the workers
-
+    ball.adjacency()  # resolves every ball edge first: word groups register in call order
     for n in range(n_max + 1):
-        pair_list = list(sphere_pairs(ball, n, m))
-
-        def probe(chunk):
-            k_max, total, absent = -1, 0, 0
-            for i, j, _q in chunk:
-                path = inside_path(ball, i, j, n, cap=cap_fn(n))
-                if path is None:
-                    absent += 1
-                else:
-                    k_max = max(k_max, len(path))
-                    total += len(path)
-            return k_max, total, absent
-
-        if jobs > 1 and len(pair_list) > 1:
-            size = (len(pair_list) + jobs - 1) // jobs
-            chunks = [pair_list[i : i + size] for i in range(0, len(pair_list), size)]
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(probe, chunks))
-        else:
-            parts = [probe(pair_list)]
-        k_max = max((p[0] for p in parts), default=-1)
-        total = sum(p[1] for p in parts)
-        absent = sum(p[2] for p in parts)
+        pairs, k_max, total, absent = 0, -1, 0, 0
+        for i, j, _q in sphere_pairs(ball, n, m):
+            pairs += 1
+            path = inside_path(ball, i, j, n, cap=cap_fn(n))
+            if path is None:
+                absent += 1
+            else:
+                k_max = max(k_max, len(path))
+                total += len(path)
         profile.rows.append(
-            ProfileRow(n=n, pairs=len(pair_list), k_max=k_max,
+            ProfileRow(n=n, pairs=pairs, k_max=k_max,
                        total_len=total, absent_under_cap=absent)
         )
     return profile
@@ -247,14 +231,12 @@ def compare_witness(ball: Ball, n: int, m: int,
         elem = ball.elements[i]
         for pos, letter in enumerate(word):
             elem = group.multiply(elem, group.generator_images[letter])
-            resolved = group.resolve(elem)
-            dk = group.dedup_key(resolved)
-            idx = ball.index.get(dk)
+            idx = ball.locate(elem)
             if idx is None or ball.lengths[idx] > n:
                 raise ConstructionEscapedBall(
                     f"witness for pair ({i},{j}) left B({n}) after {pos + 1} letters"
                 )
-        if ball.index[group.dedup_key(group.resolve(elem))] != j:
+        if ball.locate(elem) != j:
             raise ConstructionEscapedBall(
                 f"witness for pair ({i},{j}) ends at the wrong element"
             )

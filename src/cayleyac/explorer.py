@@ -3,16 +3,14 @@
 Expansion is level-synchronous; within a level, elements are inserted in
 canonical-key order and parent edges are chosen by the tie-break
 (witness weight, parent key, generator index), which makes balls and all
-their witnesses reproducible bit for bit across runs and across worker
-counts.  Parallel workers only ever run the pure multiplication; candidate
-resolution and insertion happen in a sequential canonical merge.
+their witnesses reproducible bit for bit across runs.  Every lookup of an
+element in a ball goes through ``Ball.locate``.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, Optional
 
 from .groups import GroupInterface
@@ -81,13 +79,18 @@ class Ball:
     def sphere_sizes(self) -> list[int]:
         return [len(self.sphere(n)) for n in range(self.radius + 1)]
 
+    def locate(self, elem) -> Optional[int]:
+        """Index of an element, or None when it lies outside the ball.  The
+        element is resolved through the group's normal form and looked up by
+        its dedup key; this is the one place that knows the index format."""
+        return self.index.get(self.group.dedup_key(self.group.resolve(elem)))
+
     def find(self, elem) -> int:
-        """Index of an element, resolving through the group's normal form."""
-        dk = self.group.dedup_key(self.group.resolve(elem))
-        try:
-            return self.index[dk]
-        except KeyError:
-            raise ElementAbsent(repr(elem)) from None
+        """Index of an element; raises ElementAbsent outside the ball."""
+        idx = self.locate(elem)
+        if idx is None:
+            raise ElementAbsent(repr(elem))
+        return idx
 
     def __contains__(self, elem) -> bool:
         try:
@@ -120,9 +123,7 @@ class Ball:
             for elem in self.elements:
                 row = []
                 for gi, img in enumerate(images):
-                    child = group.multiply(elem, img)
-                    dk = group.dedup_key(group.resolve(child))
-                    j = self.index.get(dk)
+                    j = self.locate(group.multiply(elem, img))
                     if j is not None:
                         row.append((gi, j))
                 adj.append(row)
@@ -152,21 +153,30 @@ class Ball:
 
     @classmethod
     def from_bytes(cls, data: bytes, group: GroupInterface) -> "Ball":
+        """Decode a ball written by ``to_bytes``.  Raises ValueError when the
+        data is truncated or over-long, of another format version, or for a
+        generating set of another size."""
         if data[:4] != _MAGIC:
             raise ValueError("not a ball cache file")
+        if len(data) < 17:
+            raise ValueError("truncated ball cache header")
         version, radius, count, genc, complete = struct.unpack(">HIIHB", data[4:17])
         if version != _VERSION:
             raise ValueError(f"cache version {version} unsupported")
+        if genc != len(group.alphabet.names):
+            raise ValueError(f"cache has {genc} generators, the group has "
+                             f"{len(group.alphabet.names)}")
         ball = cls(group, radius)
         ball.complete = bool(complete)
         pos = 17
         for _ in range(count):
-            (klen,) = struct.unpack(">H", data[pos : pos + 2])
-            pos += 2
-            key = data[pos : pos + klen]
-            pos += klen
-            length, parent, gen, weight = struct.unpack(">IiiI", data[pos : pos + 16])
-            pos += 16
+            # a cut inside the 2-byte length field also fails this check
+            key_end = pos + 2 + int.from_bytes(data[pos : pos + 2], "big")
+            if key_end + 16 > len(data):
+                raise ValueError("truncated ball cache record")
+            key = data[pos + 2 : key_end]
+            length, parent, gen, weight = struct.unpack_from(">IiiI", data, key_end)
+            pos = key_end + 16
             elem = group.decode_key(key)
             idx = len(ball.elements)
             ball.elements.append(elem)
@@ -175,6 +185,8 @@ class Ball:
             ball.parents.append((parent, gen))
             ball.weights.append(weight)
             ball.index[group.dedup_key(elem)] = idx
+        if pos != len(data):
+            raise ValueError(f"{len(data) - pos} bytes after the last ball cache record")
         ball._recompute_offsets()
         return ball
 
@@ -184,7 +196,7 @@ class Ball:
             return cls.from_bytes(fh.read(), group)
 
 
-def build_ball(group: GroupInterface, radius: int, jobs: int = 1,
+def build_ball(group: GroupInterface, radius: int,
                max_elements: Optional[int] = None) -> Ball:
     """Complete deduplicated ball of the given radius."""
     ball = Ball(group, radius)
@@ -201,37 +213,18 @@ def build_ball(group: GroupInterface, radius: int, jobs: int = 1,
     ball.index[group.dedup_key(ident)] = 0
 
     level = [0]
-    fast_dedup = type(group).resolve is GroupInterface.resolve
-
     for depth in range(1, radius + 1):
+        # a child whose unresolved key is indexed is a registered
+        # representative already in the ball, so it needs no resolve
         raw: list[tuple] = []
-
-        def expand(chunk):
-            local = []
-            index = ball.index
-            elements = ball.elements
-            weights = ball.weights
-            keys = ball.keys
-            mul = group.multiply
-            for pi in chunk:
-                parent = elements[pi]
-                pw = weights[pi]
-                pkey = keys[pi]
-                for gi, img in enumerate(images):
-                    child = mul(parent, img)
-                    if fast_dedup and child in index:
-                        continue
-                    local.append((child, pw + gweights[gi], pkey, gi, pi))
-            return local
-
-        if jobs > 1 and len(level) > 1:
-            chunksize = (len(level) + jobs - 1) // jobs
-            chunks = [level[i : i + chunksize] for i in range(0, len(level), chunksize)]
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                for part in pool.map(expand, chunks):
-                    raw.extend(part)
-        else:
-            raw = expand(level)
+        for pi in level:
+            parent = ball.elements[pi]
+            pw = ball.weights[pi]
+            pkey = ball.keys[pi]
+            for gi, img in enumerate(images):
+                child = group.multiply(parent, img)
+                if group.dedup_key(child) not in ball.index:
+                    raw.append((child, pw + gweights[gi], pkey, gi, pi))
 
         # canonical merge: resolve in presort order, keep the best parent edge
         raw.sort(key=lambda item: (group.presort_key(item[0]), item[1], item[2], item[3]))
@@ -265,52 +258,65 @@ def build_ball(group: GroupInterface, radius: int, jobs: int = 1,
     return ball
 
 
-def cached_ball(group: GroupInterface, radius: int, cache_dir: Optional[str] = None,
-                jobs: int = 1) -> Ball:
+def cached_ball(group: GroupInterface, radius: int, cache_dir: Optional[str] = None) -> Ball:
     """Build a ball, reusing and refreshing the disk cache when a directory
-    is configured."""
+    is configured.  A cache file that does not decode is rebuilt."""
     if cache_dir is None:
-        return build_ball(group, radius, jobs=jobs)
+        return build_ball(group, radius)
     os.makedirs(cache_dir, exist_ok=True)
     name = f"{group.fingerprint()}__{group.gens_fingerprint()}__r{radius}.ball"
     path = os.path.join(cache_dir, name)
     if os.path.exists(path):
-        return Ball.read(path, group)
-    ball = build_ball(group, radius, jobs=jobs)
+        try:
+            return Ball.read(path, group)
+        except ValueError:
+            pass  # truncated, over-long or stale: rebuild and rewrite it
+    ball = build_ball(group, radius)
     ball.write(path)
     return ball
 
 
+def _connectors(group: GroupInterface, m: int) -> list[tuple[object, Word]]:
+    """The distinct non-identity elements h of B(m), each with its
+    shortlex-least word in generator-index order, listed in the shortlex
+    order of those words.  Extending the level-(k-1) words in order by each
+    generator in order visits words of length k in lexicographic order, and
+    a prefix of a shortlex-least word is itself shortlex-least, so the first
+    word that reaches an element is its least one."""
+    names = tuple(group.alphabet.names)
+    images = [group.generator_images[name] for name in names]
+    ident = group.resolve(group.identity)
+    seen = {group.dedup_key(ident)}
+    table: list[tuple[object, Word]] = []
+    level = [(ident, ())]
+    for _ in range(m):
+        nxt = []
+        for elem, word in level:
+            for gi, img in enumerate(images):
+                child = group.resolve(group.multiply(elem, img))
+                dk = group.dedup_key(child)
+                if dk not in seen:
+                    seen.add(dk)
+                    nxt.append((child, word + (names[gi],)))
+        table.extend(nxt)
+        level = nxt
+    return table
+
+
 def sphere_pairs(ball: Ball, n: int, m: int) -> Iterator[tuple[int, int, Word]]:
     """Unordered pairs of sphere-n elements at distance <= m, each exactly
-    once, with the canonical shortest connector word."""
+    once as (i, j, q) with i < j, where q is the shortlex-least word with
+    g_i q = g_j.  Pairs come in order of i, then of q."""
     if n > ball.radius:
         raise RadiusUnavailable(f"sphere {n} of a radius-{ball.radius} ball")
     group = ball.group
-    images = [group.generator_images[name] for name in ball.gen_names]
-    names = ball.gen_names
-    seen: set[tuple[int, int]] = set()
+    table = _connectors(group, m)
     for i in ball.sphere(n):
-        start = ball.elements[i]
-        # breadth-first over connector words of length 1..m in generator order
-        frontier = [(start, ())]
-        for _ in range(m):
-            nxt = []
-            for elem, word in frontier:
-                for gi, img in enumerate(images):
-                    child = group.multiply(elem, img)
-                    cword = word + (names[gi],)
-                    nxt.append((child, cword))
-                    dk = group.dedup_key(group.resolve(child))
-                    j = ball.index.get(dk)
-                    if j is None or j == i or ball.lengths[j] != n:
-                        continue
-                    a, b = (i, j) if i < j else (j, i)
-                    if (a, b) in seen:
-                        continue
-                    seen.add((a, b))
-                    yield (i, j, cword)
-            frontier = nxt
+        g = ball.elements[i]
+        for h, q in table:
+            j = ball.locate(group.multiply(g, h))
+            if j is not None and j > i and ball.lengths[j] == n:
+                yield (i, j, q)
 
 
 def inside_path(ball: Ball, i: int, j: int, n: int,

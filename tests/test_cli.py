@@ -94,6 +94,25 @@ def test_cache_dir_reuse(tmp_path, capsys):
     assert len(os.listdir(cache)) == 1
 
 
+def test_damaged_cache_is_rebuilt(tmp_path, capsys):
+    group_file = _write(tmp_path, "n1.group", "kind=heisenberg e=1 gens=plain")
+    cache = os.path.join(tmp_path, "cache")
+    argv = ["--cache-dir", cache, "ball", "--group", group_file, "--radius", "5"]
+    assert run_command(argv) == 0
+    spheres = json.loads(capsys.readouterr().out)["spheres"]
+    (name,) = os.listdir(cache)
+    path = os.path.join(cache, name)
+    with open(path, "rb") as fh:
+        good = fh.read()
+    for cut in (10, 17, 40, len(good) // 2, len(good) - 1):
+        with open(path, "wb") as fh:
+            fh.write(good[:cut])
+        assert run_command(argv) == 0
+        assert json.loads(capsys.readouterr().out)["spheres"] == spheres
+        with open(path, "rb") as fh:
+            assert fh.read() == good
+
+
 def test_dehn_command(tmp_path, capsys):
     group_file = _write(tmp_path, "s2.group", "kind=surface genus=2")
     assert run_command(["dehn", "--group", group_file, "--word",

@@ -83,12 +83,6 @@ def test_profile_round_trips(z2_ball):
     assert [r.k_max for r in j.rows] == [r.k_max for r in prof.rows]
 
 
-def test_profiles_reproducible_across_jobs(z2_ball):
-    a = ac_profile(z2_ball, 2, 8, jobs=1, name="z2")
-    b = ac_profile(z2_ball, 2, 8, jobs=4, name="z2")
-    assert a.to_csv() == b.to_csv()
-
-
 def test_transfer_verdict(z2_ball):
     p = ac_profile(z2_ball, 2, 8, name="z2")
     v = transfer_verdict(p, p)

@@ -6,6 +6,7 @@ from cayleyac.explorer import (Ball, BudgetExceeded, ElementAbsent,
                                RadiusUnavailable, build_ball, cached_ball,
                                inside_path, sphere_pairs)
 from cayleyac.groups import FreeGroup, IntegerLattice
+from cayleyac.sol import SolLattice
 
 
 def test_lattice_ball_count():
@@ -84,6 +85,44 @@ def test_sphere_pairs_free_group_share_parent():
         assert pi == pj  # tree: distance-2 sphere pairs are siblings
 
 
+def _reference_sphere_pairs(ball, n, m):
+    """Word breadth-first pair enumeration: every connector word of length
+    1..m from every sphere element, in generator order."""
+    group = ball.group
+    images = [group.generator_images[name] for name in ball.gen_names]
+    names = ball.gen_names
+    seen = set()
+    for i in ball.sphere(n):
+        frontier = [(ball.elements[i], ())]
+        for _ in range(m):
+            nxt = []
+            for elem, word in frontier:
+                for gi, img in enumerate(images):
+                    child = group.multiply(elem, img)
+                    cword = word + (names[gi],)
+                    nxt.append((child, cword))
+                    j = ball.index.get(group.dedup_key(group.resolve(child)))
+                    if j is None or j == i or ball.lengths[j] != n:
+                        continue
+                    a, b = (i, j) if i < j else (j, i)
+                    if (a, b) in seen:
+                        continue
+                    seen.add((a, b))
+                    yield (i, j, cword)
+            frontier = nxt
+
+
+@pytest.mark.parametrize("fixture, radius, m", [
+    ("nil_hex", 6, 2), ("nil_hex", 5, 3), ("sol", 5, 2), ("klein", 4, 2),
+    ("surface2", 3, 2),
+])
+def test_sphere_pairs_match_word_search(request, fixture, radius, m):
+    group = SolLattice(((2, 1), (1, 1))) if fixture == "sol" else request.getfixturevalue(fixture)
+    ball = build_ball(group, radius)
+    for n in range(radius + 1):
+        assert list(sphere_pairs(ball, n, m)) == list(_reference_sphere_pairs(ball, n, m))
+
+
 def test_inside_path_lattice():
     ball = build_ball(IntegerLattice(2), 8)
     i = ball.find((8, 0))
@@ -111,12 +150,6 @@ def test_inside_path_respects_cap():
     assert p is not None and len(p) == 12
 
 
-def test_parallel_build_identical(nil_hex):
-    b1 = build_ball(nil_hex, 7, jobs=1)
-    b4 = build_ball(nil_hex, 7, jobs=4)
-    assert b1.to_bytes() == b4.to_bytes()
-
-
 def test_cache_round_trip(tmp_path, nil_xy):
     ball = cached_ball(nil_xy, 6, cache_dir=str(tmp_path))
     again = cached_ball(nil_xy, 6, cache_dir=str(tmp_path))
@@ -133,3 +166,13 @@ def test_cache_round_trip_surface(tmp_path, surface2):
     ball = cached_ball(surface2, 3, cache_dir=str(tmp_path))
     again = cached_ball(surface2, 3, cache_dir=str(tmp_path))
     assert ball.to_bytes() == again.to_bytes()
+
+
+def test_cache_rejects_damaged_files(nil_xy):
+    data = build_ball(nil_xy, 3).to_bytes()
+    for bad in (data[:10], data[:17], data[: len(data) // 2], data[:-1], data + b"\0",
+                data[:4] + b"\0\x09" + data[6:]):
+        with pytest.raises(ValueError):
+            Ball.from_bytes(bad, nil_xy)
+    with pytest.raises(ValueError):
+        Ball.from_bytes(data, IntegerLattice(3))  # six generators, not four
