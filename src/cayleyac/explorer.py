@@ -1,10 +1,11 @@
 """Exact breadth-first enumeration of Cayley-graph balls.
 
 Expansion is level-synchronous; within a level, elements are inserted in
-canonical-key order and parent edges are chosen by the tie-break
-(witness weight, parent key, generator index), which makes balls and all
-their witnesses reproducible bit for bit across runs.  Every lookup of an
-element in a ball goes through ``Ball.locate``.
+the order of their resolved keys and parent edges are chosen by the
+tie-break (witness weight, parent key, generator index), which makes balls
+and all their witnesses reproducible bit for bit across runs.  A ball
+indexes its elements by value; every lookup of an element goes through
+``Ball.locate``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class Ball:
         self.lengths: list[int] = []
         self.parents: list[tuple[int, int]] = []  # (parent index, generator index)
         self.weights: list[int] = []
-        self.index: dict = {}
+        self.index: dict = {}  # resolved element -> index
         self.sphere_offsets: list[int] = [0]
         self.complete = True
         self._adjacency: Optional[list[list[tuple[int, int]]]] = None
@@ -81,9 +82,9 @@ class Ball:
 
     def locate(self, elem) -> Optional[int]:
         """Index of an element, or None when it lies outside the ball.  The
-        element is resolved through the group's normal form and looked up by
-        its dedup key; this is the one place that knows the index format."""
-        return self.index.get(self.group.dedup_key(self.group.resolve(elem)))
+        element is resolved to its representative, which is what the index
+        holds."""
+        return self.index.get(self.group.resolve(elem))
 
     def find(self, elem) -> int:
         """Index of an element; raises ElementAbsent outside the ball."""
@@ -184,7 +185,7 @@ class Ball:
             ball.lengths.append(length)
             ball.parents.append((parent, gen))
             ball.weights.append(weight)
-            ball.index[group.dedup_key(elem)] = idx
+            ball.index[elem] = idx
         if pos != len(data):
             raise ValueError(f"{len(data) - pos} bytes after the last ball cache record")
         ball._recompute_offsets()
@@ -206,16 +207,16 @@ def build_ball(group: GroupInterface, radius: int,
 
     ident = group.resolve(group.identity)
     ball.elements.append(ident)
-    ball.keys.append(group.canonical_key(ident))
+    ball.keys.append(group.key(ident))
     ball.lengths.append(0)
     ball.parents.append((-1, -1))
     ball.weights.append(0)
-    ball.index[group.dedup_key(ident)] = 0
+    ball.index[ident] = 0
 
     level = [0]
     for depth in range(1, radius + 1):
-        # a child whose unresolved key is indexed is a registered
-        # representative already in the ball, so it needs no resolve
+        # a child that is indexed as given is a registered representative
+        # already in the ball, so it needs no resolve
         raw: list[tuple] = []
         for pi in level:
             parent = ball.elements[pi]
@@ -223,24 +224,27 @@ def build_ball(group: GroupInterface, radius: int,
             pkey = ball.keys[pi]
             for gi, img in enumerate(images):
                 child = group.multiply(parent, img)
-                if group.dedup_key(child) not in ball.index:
-                    raw.append((child, pw + gweights[gi], pkey, gi, pi))
+                if child not in ball.index:
+                    raw.append((group.key(child), pw + gweights[gi], pkey, gi, pi, child))
 
-        # canonical merge: resolve in presort order, keep the best parent edge
-        raw.sort(key=lambda item: (group.presort_key(item[0]), item[1], item[2], item[3]))
+        # canonical merge: resolve in key order, keep the best parent edge.
+        # (parent key, generator) is unique, so sorting never compares past it.
+        raw.sort()
         cands: dict = {}
-        for child, w, pkey, gi, pi in raw:
-            resolved = group.resolve(child)
-            dk = group.dedup_key(resolved)
-            if dk in ball.index:
-                continue
-            prev = cands.get(dk)
-            if prev is None or (w, pkey, gi) < (prev[1], prev[2], prev[3]):
-                cands[dk] = (resolved, w, pkey, gi, pi)
-        newbies = sorted(cands.items(), key=lambda kv: group.canonical_key(kv[1][0]))
+        for key, w, pkey, gi, pi, child in raw:
+            elem = group.resolve(child)
+            if elem is not child:
+                if elem in ball.index:
+                    continue
+                key = group.key(elem)
+            prev = cands.get(elem)
+            if prev is None or (w, pkey, gi) < prev[1:4]:
+                cands[elem] = (key, w, pkey, gi, pi, elem)
+        # keys are injective, so sorting never compares past the key
+        newbies = sorted(cands.values())
 
         level = []
-        for dk, (elem, w, pkey, gi, pi) in newbies:
+        for key, w, pkey, gi, pi, elem in newbies:
             idx = len(ball.elements)
             if max_elements is not None and idx >= max_elements:
                 ball.complete = False
@@ -248,11 +252,11 @@ def build_ball(group: GroupInterface, radius: int,
                     f"ball exceeded {max_elements} elements at radius {depth}", partial=ball
                 )
             ball.elements.append(elem)
-            ball.keys.append(group.canonical_key(elem))
+            ball.keys.append(key)
             ball.lengths.append(depth)
             ball.parents.append((pi, gi))
             ball.weights.append(w)
-            ball.index[dk] = idx
+            ball.index[elem] = idx
             level.append(idx)
     ball._recompute_offsets()
     return ball
@@ -286,7 +290,7 @@ def _connectors(group: GroupInterface, m: int) -> list[tuple[object, Word]]:
     names = tuple(group.alphabet.names)
     images = [group.generator_images[name] for name in names]
     ident = group.resolve(group.identity)
-    seen = {group.dedup_key(ident)}
+    seen = {ident}
     table: list[tuple[object, Word]] = []
     level = [(ident, ())]
     for _ in range(m):
@@ -294,9 +298,8 @@ def _connectors(group: GroupInterface, m: int) -> list[tuple[object, Word]]:
         for elem, word in level:
             for gi, img in enumerate(images):
                 child = group.resolve(group.multiply(elem, img))
-                dk = group.dedup_key(child)
-                if dk not in seen:
-                    seen.add(dk)
+                if child not in seen:
+                    seen.add(child)
                     nxt.append((child, word + (names[gi],)))
         table.extend(nxt)
         level = nxt

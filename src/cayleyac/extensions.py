@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .dehn import QuasiConstants, close_dehn_with_charges, d_reduce_with_charges
-from .groups import GroupInterface, encode_word, pack_ints, unpack_ints
+from .groups import GroupInterface, pack_ints, unpack_ints
 from .words import Word, word_inverse
 
 
@@ -24,11 +24,20 @@ class MissingCentralGenerator(KeyError):
 
 
 class ExtElement:
+    """Central vector and base element; ``==`` and ``hash`` go by both."""
+
     __slots__ = ("avec", "base")
 
     def __init__(self, avec: tuple[int, ...], base):
         self.avec = avec
         self.base = base
+
+    def __eq__(self, other):
+        return (isinstance(other, ExtElement)
+                and self.avec == other.avec and self.base == other.base)
+
+    def __hash__(self):
+        return hash((self.avec, self.base))
 
     def __repr__(self):
         return f"ExtElement({self.avec}, {' '.join(self.base.word) or 'e'})"
@@ -211,15 +220,8 @@ class CentralExtension(GroupInterface):
         )
         return ExtElement(_vec_add(elem.avec, consumed), rep)
 
-    def dedup_key(self, elem: ExtElement):
-        return pack_ints(elem.avec) + encode_word(elem.base.word, self.base.alphabet)
-
-    def canonical_key(self, elem: ExtElement) -> bytes:
-        resolved = self.resolve(elem)
-        return pack_ints(resolved.avec) + encode_word(resolved.base.word, self.base.alphabet)
-
-    def presort_key(self, elem: ExtElement) -> bytes:
-        return pack_ints(elem.avec) + encode_word(elem.base.word, self.base.alphabet)
+    def key(self, elem: ExtElement) -> bytes:
+        return pack_ints(elem.avec) + self.base.key(elem.base)
 
     def decode_key(self, key: bytes) -> ExtElement:
         avec = unpack_ints(key[: 8 * self.rank])

@@ -166,7 +166,7 @@ class FiniteNilExtension(GroupInterface):
     def generator_images(self):
         return self._images
 
-    def canonical_key(self, elem: FEElement) -> bytes:
+    def key(self, elem: FEElement) -> bytes:
         (a, b, t), q = elem
         return pack_ints((a, b, t, q))
 
@@ -291,7 +291,7 @@ class WallpaperQuotient(GroupInterface):
     def generator_images(self):
         return self._images
 
-    def canonical_key(self, elem) -> bytes:
+    def key(self, elem) -> bytes:
         (a, b), q = elem
         return pack_ints((a, b, q))
 

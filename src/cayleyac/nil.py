@@ -184,7 +184,7 @@ class NilGroup(GroupInterface):
     def generator_images(self):
         return self._images
 
-    def canonical_key(self, elem) -> bytes:
+    def key(self, elem) -> bytes:
         return pack_ints(elem)
 
     def decode_key(self, key: bytes) -> NilElement:

@@ -57,7 +57,7 @@ class SolLattice(GroupInterface):
     def generator_images(self):
         return self._images
 
-    def canonical_key(self, elem: SolElement) -> bytes:
+    def key(self, elem: SolElement) -> bytes:
         (a, b), n = elem
         return pack_ints((a, b, n))
 

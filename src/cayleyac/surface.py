@@ -3,10 +3,10 @@
 Element equality is decided soundly: images under a pair of homomorphisms
 into SL(2, p) (plus the abelianization vector) are a complete *negative*
 test, and candidates with equal fingerprints are confirmed by reducing
-u * v^-1 with the relator system.  Canonical keys come from a clustering
-memo that stores the first geodesic representative discovered for each
-element; exploration resolves candidates in a fixed order, so the keys are
-reproducible.
+u * v^-1 with the relator system.  Representatives come from a clustering
+memo that stores the first geodesic word discovered for each element;
+exploration resolves candidates in a fixed order, so the keys of resolved
+elements are reproducible.
 """
 
 from __future__ import annotations
@@ -149,11 +149,21 @@ def _find_surface_hom(genus: int, p: int, rng: random.Random):
 
 
 class SurfaceElement:
+    """A D-reduced word with its fingerprint.  ``==`` and ``hash`` go by the
+    word (the fingerprint is a function of the group element), so two words
+    for one group element are unequal until resolved."""
+
     __slots__ = ("word", "fp")
 
     def __init__(self, word: Word, fp: tuple):
         self.word = word
         self.fp = fp
+
+    def __eq__(self, other):
+        return isinstance(other, SurfaceElement) and self.word == other.word
+
+    def __hash__(self):
+        return hash(self.word)
 
     def __repr__(self):
         return f"SurfaceElement({' '.join(self.word) or 'e'})"
@@ -255,13 +265,7 @@ class SurfaceGroup(GroupInterface):
         bucket.append(elem.word)
         return elem
 
-    def dedup_key(self, elem: SurfaceElement):
-        return encode_word(elem.word, self.alphabet)
-
-    def canonical_key(self, elem: SurfaceElement) -> bytes:
-        return encode_word(self.resolve(elem).word, self.alphabet)
-
-    def presort_key(self, elem: SurfaceElement) -> bytes:
+    def key(self, elem: SurfaceElement) -> bytes:
         return encode_word(elem.word, self.alphabet)
 
     def decode_key(self, key: bytes) -> SurfaceElement:

@@ -2,15 +2,16 @@
 representation.
 
 The three reflections act on the span of the side normals; in that basis
-their matrices have entries in Q(2cos(pi/N)) where N = lcm of the orders
-that contribute an irrational cosine.  Field arithmetic is exact (tuples of
-Fractions modulo the minimal polynomial), so element equality and canonical
-keys are exact matrix comparisons.
+their matrices are I minus a row of the doubled Gram matrix, whose entries
+are 2, 0, -1 and -2cos(pi/k).  All of them lie in the ring Z[2cos(pi/N)],
+where N = lcm of the orders that contribute an irrational cosine, and the
+minimal polynomial of 2cos(pi/N) is monic, so arithmetic is exact integer
+arithmetic (int tuples modulo that polynomial).  Element equality and keys
+are exact matrix comparisons.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .groups import GroupInterface
@@ -20,16 +21,9 @@ from .words import Alphabet
 # -- integer polynomial helpers (dense coefficient lists, low degree first) --
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
 def _poly_divmod(a, b):
+    """Quotient and remainder of integer polynomials by a monic b."""
+    assert b[-1] == 1, "divisor must be monic"
     a = list(a)
     out = [0] * max(1, len(a) - len(b) + 1)
     while len(a) >= len(b) and any(a):
@@ -37,7 +31,7 @@ def _poly_divmod(a, b):
             a.pop()
             continue
         shift = len(a) - len(b)
-        coeff = Fraction(a[-1], b[-1])
+        coeff = a[-1]
         out[shift] = coeff
         for i, cb in enumerate(b):
             a[shift + i] -= coeff * cb
@@ -52,9 +46,8 @@ def cyclotomic_polynomial(m: int) -> list[int]:
     poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            q, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
             assert not any(rem)
-            poly = [int(c) for c in q]
     return poly
 
 
@@ -86,7 +79,10 @@ def real_minimal_polynomial(m: int) -> list[int]:
 
 
 class CosField:
-    """Q(2cos(pi/n)) with exact arithmetic; elements are coefficient tuples."""
+    """The ring Z[2cos(pi/n)] with exact integer arithmetic: elements are
+    int coefficient tuples over the powers of 2cos(pi/n), reduced modulo its
+    monic minimal polynomial.  Triangle-group matrices have integral entries,
+    so no division is needed."""
 
     def __init__(self, n: int):
         self.n = n
@@ -95,30 +91,26 @@ class CosField:
         assert lead in (1, -1)
         if lead == -1:
             coeffs = [-c for c in coeffs]
-        self.minpoly = [Fraction(c) for c in coeffs]
+        self.minpoly = coeffs
         self.degree = len(coeffs) - 1
         # reduction of x^degree
         self._top = tuple(-c for c in self.minpoly[:-1])
 
     def zero(self):
-        return (Fraction(0),) * self.degree
+        return (0,) * self.degree
 
     def one(self):
-        return self.rational(Fraction(1))
+        return self.integer(1)
 
-    def rational(self, q) -> tuple:
-        out = [Fraction(0)] * self.degree
-        out[0] = Fraction(q)
-        return tuple(out)
+    def integer(self, k: int) -> tuple:
+        return (k,) + (0,) * (self.degree - 1)
 
     def generator(self) -> tuple:
         """The element 2cos(pi/n)."""
         if self.degree == 1:
-            # x - c: generator equals the rational root
-            return self.rational(-self.minpoly[0])
-        out = [Fraction(0)] * self.degree
-        out[1] = Fraction(1)
-        return tuple(out)
+            # x - c: generator equals the integer root
+            return self.integer(-self.minpoly[0])
+        return (0, 1) + (0,) * (self.degree - 2)
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -131,7 +123,7 @@ class CosField:
 
     def mul(self, a, b):
         deg = self.degree
-        prod = [Fraction(0)] * (2 * deg - 1)
+        prod = [0] * (2 * deg - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -140,21 +132,23 @@ class CosField:
         for k in range(2 * deg - 2, deg - 1, -1):
             c = prod[k]
             if c:
-                prod[k] = Fraction(0)
+                prod[k] = 0
                 for i, t in enumerate(self._top):
                     prod[k - deg + i] += c * t
         return tuple(prod[:deg])
 
-    def scale(self, a, q):
-        return tuple(x * q for x in a)
+    def scale(self, a, k: int):
+        return tuple(x * k for x in a)
 
     def two_cos_pi_over(self, k: int) -> tuple:
-        """2cos(pi/k) as a field element, via the Dickson recurrence
-        D_j(2cos t) = 2cos(j t) with t = pi/n and j = n/k."""
+        """2cos(pi/k) as a field element: 0 and 1 for k = 2, 3, otherwise via
+        the Dickson recurrence D_j(2cos t) = 2cos(j t) with t = pi/n, j = n/k."""
+        if k in (2, 3):
+            return self.integer(k - 2)
         if self.n % k:
             raise ValueError(f"{k} does not divide the field order {self.n}")
         j = self.n // k
-        d_prev = self.rational(2)
+        d_prev = self.integer(2)
         d_cur = self.generator()
         for _ in range(j - 1):
             d_prev, d_cur = d_cur, self.sub(self.mul(self.generator(), d_cur), d_prev)
@@ -192,7 +186,7 @@ def _mat_inverse(field: CosField, M):
     det = _mat_det(field, M)
     if det == f.one():
         inv_det = 1
-    elif det == f.rational(-1):
+    elif det == f.integer(-1):
         inv_det = -1
     else:
         raise ValueError("matrix determinant is not a unit")
@@ -219,29 +213,25 @@ class TriangleGroup(GroupInterface):
     Elements are exact 3x3 matrices."""
 
     def __init__(self, p: int, q: int, r: int):
-        if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) >= 1:
+        if min(p, q, r) < 2:
+            raise ValueError(f"triangle orders must be >= 2, got ({p},{q},{r})")
+        # 1/p + 1/q + 1/r < 1, cleared of denominators
+        if q * r + p * r + p * q >= p * q * r:
             raise ValueError("(p,q,r) is not hyperbolic")
         self.orders = (p, q, r)
         nontrivial = [k for k in (p, q, r) if k > 3]
         self.field = CosField(lcm(*nontrivial) if nontrivial else 3)
         f = self.field
-
-        def cos_term(k: int):
-            if k == 2:
-                return f.zero()
-            if k == 3:
-                return f.rational(Fraction(1, 2))
-            return f.scale(f.two_cos_pi_over(k), Fraction(1, 2))
-
-        # Gram matrix of the side normals: angle pi/p between sides 1,2;
-        # pi/q between sides 2,3; pi/r between sides 1,3.
-        c12, c23, c13 = cos_term(p), cos_term(q), cos_term(r)
-        one = f.one()
-        gram = [
-            [one, f.neg(c12), f.neg(c13)],
-            [f.neg(c12), one, f.neg(c23)],
-            [f.neg(c13), f.neg(c23), one],
+        # Doubled Gram matrix of the side normals: angle pi/p between sides
+        # 1,2; pi/q between sides 2,3; pi/r between sides 1,3.
+        c12, c23, c13 = (f.two_cos_pi_over(k) for k in (p, q, r))
+        two = f.integer(2)
+        gram2 = [
+            [two, f.neg(c12), f.neg(c13)],
+            [f.neg(c12), two, f.neg(c23)],
+            [f.neg(c13), f.neg(c23), two],
         ]
+        # reflection i: x -> x - 2 <x, n_i> n_i, i.e. I minus row i of gram2
         reflections = []
         for i in range(3):
             mat = []
@@ -249,7 +239,7 @@ class TriangleGroup(GroupInterface):
                 for col in range(3):
                     entry = f.one() if row == col else f.zero()
                     if row == i:
-                        entry = f.sub(entry, f.scale(gram[i][col], 2))
+                        entry = f.sub(entry, gram2[i][col])
                     mat.append(entry)
             reflections.append(tuple(mat))
         r1, r2, r3 = reflections
@@ -292,16 +282,15 @@ class TriangleGroup(GroupInterface):
     def generator_images(self):
         return self._images
 
-    def canonical_key(self, elem) -> bytes:
-        return ";".join(
-            ",".join(f"{c.numerator}/{c.denominator}" for c in entry) for entry in elem
-        ).encode()
+    def key(self, elem) -> bytes:
+        # coefficients keep the "numerator/denominator" form of the key format
+        return ";".join(",".join(f"{c}/1" for c in entry) for entry in elem).encode()
 
     def decode_key(self, key: bytes):
-        entries = []
-        for part in key.decode().split(";"):
-            entries.append(tuple(Fraction(x) for x in part.split(",")))
-        return tuple(entries)
+        entries = [part.split(",") for part in key.decode().split(";")]
+        if not all(c.endswith("/1") for entry in entries for c in entry):
+            raise ValueError("triangle key coefficients must have denominator 1")
+        return tuple(tuple(int(c[:-2]) for c in entry) for entry in entries)
 
     def fingerprint(self) -> str:
         p, q, r = self.orders

@@ -37,6 +37,11 @@ def test_parse_errors_name_the_field():
     with pytest.raises(GroupSpecError) as info:
         parse_group_spec("e=1")
     assert info.value.record()["field"] == "kind"
+    for text in ("kind=triangle p=0 q=3 r=7", "kind=triangle p=-2 q=3 r=7"):
+        with pytest.raises(GroupSpecError) as info:
+            build_group(parse_group_spec(text))
+        assert info.value.record()["error"] == "InvalidValue"
+        assert info.value.record()["field"] == "p,q,r"
 
 
 def _write(tmp_path, name, text):
@@ -94,23 +99,42 @@ def test_cache_dir_reuse(tmp_path, capsys):
     assert len(os.listdir(cache)) == 1
 
 
-def test_damaged_cache_is_rebuilt(tmp_path, capsys):
-    group_file = _write(tmp_path, "n1.group", "kind=heisenberg e=1 gens=plain")
+def _damage_and_rebuild(tmp_path, capsys, spec, radius, damages):
+    """Build a cached ball through the CLI, then replace the cache file by
+    each damaged copy and require the same spheres and a rewritten file."""
+    os.makedirs(tmp_path)
+    group_file = _write(tmp_path, "g.group", spec)
     cache = os.path.join(tmp_path, "cache")
-    argv = ["--cache-dir", cache, "ball", "--group", group_file, "--radius", "5"]
+    argv = ["--cache-dir", cache, "ball", "--group", group_file, "--radius", str(radius)]
     assert run_command(argv) == 0
     spheres = json.loads(capsys.readouterr().out)["spheres"]
     (name,) = os.listdir(cache)
     path = os.path.join(cache, name)
     with open(path, "rb") as fh:
         good = fh.read()
-    for cut in (10, 17, 40, len(good) // 2, len(good) - 1):
+    for damage in damages:
         with open(path, "wb") as fh:
-            fh.write(good[:cut])
+            fh.write(damage(good))
         assert run_command(argv) == 0
         assert json.loads(capsys.readouterr().out)["spheres"] == spheres
         with open(path, "rb") as fh:
             assert fh.read() == good
+
+
+def _bad_letter(data):
+    # first key byte: after the 17-byte header and the identity's record
+    # (2-byte length, empty key, 16 bytes), a letter index out of range
+    out = bytearray(data)
+    out[17 + 18 + 2] = 0xFF
+    return bytes(out)
+
+
+def test_damaged_cache_is_rebuilt(tmp_path, capsys):
+    cuts = [lambda data, cut=cut: data[:cut] for cut in (10, 17, 40)]
+    cuts += [lambda data: data[: len(data) // 2], lambda data: data[:-1]]
+    _damage_and_rebuild(tmp_path / "nil", capsys, "kind=heisenberg e=1 gens=plain", 5, cuts)
+    _damage_and_rebuild(tmp_path / "surface", capsys, "kind=surface genus=2", 2,
+                        [_bad_letter])
 
 
 def test_dehn_command(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -5,8 +6,11 @@ import pytest
 from cayleyac.explorer import (Ball, BudgetExceeded, ElementAbsent,
                                RadiusUnavailable, build_ball, cached_ball,
                                inside_path, sphere_pairs)
+from cayleyac.extensions import CentralExtension
 from cayleyac.groups import FreeGroup, IntegerLattice
 from cayleyac.sol import SolLattice
+from cayleyac.surface import SurfaceGroup
+from cayleyac.triangle import TriangleGroup
 
 
 def test_lattice_ball_count():
@@ -101,7 +105,7 @@ def _reference_sphere_pairs(ball, n, m):
                     child = group.multiply(elem, img)
                     cword = word + (names[gi],)
                     nxt.append((child, cword))
-                    j = ball.index.get(group.dedup_key(group.resolve(child)))
+                    j = ball.index.get(group.resolve(child))
                     if j is None or j == i or ball.lengths[j] != n:
                         continue
                     a, b = (i, j) if i < j else (j, i)
@@ -168,7 +172,7 @@ def test_cache_round_trip_surface(tmp_path, surface2):
     assert ball.to_bytes() == again.to_bytes()
 
 
-def test_cache_rejects_damaged_files(nil_xy):
+def test_cache_rejects_damaged_files(nil_xy, surface2):
     data = build_ball(nil_xy, 3).to_bytes()
     for bad in (data[:10], data[:17], data[: len(data) // 2], data[:-1], data + b"\0",
                 data[:4] + b"\0\x09" + data[6:]):
@@ -176,3 +180,62 @@ def test_cache_rejects_damaged_files(nil_xy):
             Ball.from_bytes(bad, nil_xy)
     with pytest.raises(ValueError):
         Ball.from_bytes(data, IntegerLattice(3))  # six generators, not four
+    # a word key with a letter index outside the alphabet: the 17-byte
+    # header, the identity's record (empty key), then the first key byte
+    data = bytearray(build_ball(surface2, 2).to_bytes())
+    data[17 + 18 + 2] = 0xFF
+    with pytest.raises(ValueError):
+        Ball.from_bytes(bytes(data), surface2)
+
+
+def _central_extension():
+    base = SurfaceGroup(2)
+    return CentralExtension(base, {base.relator: (1,)})
+
+
+@pytest.mark.parametrize("make, radius, digest", [
+    (lambda: TriangleGroup(2, 3, 7), 8,
+     "c3d6de24e3d02256897f7f977e4522c832f3e12addcdf96a44341aeee551ebe2"),
+    (lambda: TriangleGroup(3, 3, 4), 5,
+     "4aa7489ad5df9ce4d0e72945731d1cd7a0f3b0f2dae8b934974da05376147ffa"),
+    (lambda: SurfaceGroup(2), 4,
+     "0963cb236a5054797c25f2562564f7adfe2d5d72a6b100601b5385fd82f1d658"),
+    (_central_extension, 4,
+     "03da5ea5d00caaaf0d85832c31ab6ffb9902f0194edcbdab6166618d6e5e98c7"),
+], ids=["triangle237", "triangle334", "surface2", "central"])
+def test_ball_bytes_pinned(make, radius, digest):
+    # a fresh group per ball: a word group's representatives depend on what
+    # the instance resolved before.  Of these balls only the central
+    # extension's depends on build_ball recomputing a key after resolve
+    # moved a candidate to another representative.
+    assert hashlib.sha256(build_ball(make(), radius).to_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family", [
+    "lattice", "free", "nil_hex", "sol", "klein", "s2222", "surface2", "central", "triangle",
+])
+def test_key_contract(request, family):
+    """Keys decode to equal, equally hashed elements that the ball locates
+    at their own index, and increase strictly inside each sphere."""
+    if family == "lattice":
+        group = IntegerLattice(2)
+    elif family == "free":
+        group = FreeGroup(2)
+    elif family == "sol":
+        group = SolLattice(((2, 1), (1, 1)))
+    elif family == "central":
+        group = _central_extension()
+    elif family == "triangle":
+        group = TriangleGroup(2, 3, 7)
+    else:
+        group = request.getfixturevalue(family)
+    ball = build_ball(group, 2)
+    for i, key in enumerate(ball.keys):
+        elem = group.decode_key(key)
+        assert elem == ball.elements[i]
+        assert hash(elem) == hash(ball.elements[i])
+        assert group.key(ball.elements[i]) == key
+        assert ball.locate(elem) == i
+    for n in range(3):
+        keys = [ball.keys[i] for i in ball.sphere(n)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))

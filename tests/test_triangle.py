@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from cayleyac.explorer import build_ball
@@ -32,7 +30,9 @@ def test_cos_field_arithmetic():
                     field.sub(field.one(), field.scale(c, 2)))
     assert val == field.zero()
     assert field.two_cos_pi_over(7) == c
-    assert field.rational(Fraction(1, 2)) == field.scale(field.one(), Fraction(1, 2))
+    # the ring is integral: every generator image has int coefficients
+    for image in TriangleGroup(2, 3, 7).generator_images.values():
+        assert all(type(c) is int for entry in image for c in entry)
 
 
 def test_triangle_group_orders():
@@ -55,10 +55,13 @@ def test_triangle_rejects_spherical():
 
 def test_triangle_ball_and_keys(triangle237, triangle_ball):
     assert triangle_ball.sphere_sizes()[0:3] == [1, 3, 4]
-    # canonical keys decode back to equal matrices
+    # keys decode back to equal matrices
     for idx in (0, 1, 5, len(triangle_ball) - 1):
         key = triangle_ball.keys[idx]
         assert triangle237.decode_key(key) == triangle_ball.elements[idx]
+    # the ring is integral, so a key with another denominator is damaged
+    with pytest.raises(ValueError):
+        triangle237.decode_key(triangle_ball.keys[1].replace(b"/1", b"/2", 1))
 
 
 def test_triangle_inverse_exact(triangle237):
