@@ -67,8 +67,9 @@ def _render(value) -> str:
 
 
 def parse_group_spec(text: str) -> GroupSpecFile:
-    """Validate and normalize a group definition; raises GroupSpecError with
-    the offending field named."""
+    """Parse a group definition into its kind and fields; raises
+    GroupSpecError for a malformed entry or a missing kind=.  Field values
+    are validated by ``build_group``."""
     tokens = []
     for line in text.splitlines():
         line = line.split("#", 1)[0]
@@ -93,9 +94,7 @@ def parse_group_spec(text: str) -> GroupSpecFile:
         raise _err("MissingField", "group file lacks kind=", "kind")
     kind = entries.pop("kind")
     name = entries.pop("name", kind)
-    spec = GroupSpecFile(kind=kind, params=entries, name=str(name))
-    build_group(spec)  # validation pass
-    return spec
+    return GroupSpecFile(kind=kind, params=entries, name=str(name))
 
 
 def _saturation_from(params) -> "SaturationSpec":
@@ -122,7 +121,8 @@ def _saturation_from(params) -> "SaturationSpec":
 
 
 def build_group(spec: GroupSpecFile):
-    """Instantiate the group a spec file describes."""
+    """Instantiate the group a spec file describes; raises GroupSpecError
+    with the offending field named."""
     kind = spec.kind
     params = dict(spec.params)
 

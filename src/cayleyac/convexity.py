@@ -126,26 +126,25 @@ class ConvexityProfile:
 
 
 def ac_profile(ball: Ball, m: int, n_max: Optional[int] = None,
-               cap: Optional[Callable[[int], int]] = None,
                name: Optional[str] = None) -> ConvexityProfile:
-    """K(m,n) for every n up to n_max, measured on a prebuilt ball."""
+    """K(m,n) for every n up to n_max, measured on a prebuilt ball, with the
+    inside-path search capped at 4n + 64."""
     if n_max is None:
         n_max = ball.radius
     if n_max > ball.radius:
         raise ValueError("profile radius exceeds ball radius")
-    cap_fn = cap or (lambda n: 4 * n + 64)
     profile = ConvexityProfile(
         group=name or ball.group.fingerprint(),
         gens=" ".join(ball.gen_names),
         m=m,
-        cap_rule="4n+64" if cap is None else "custom",
+        cap_rule="4n+64",
     )
     ball.adjacency()  # resolves every ball edge first: word groups register in call order
     for n in range(n_max + 1):
         pairs, k_max, total, absent = 0, -1, 0, 0
         for i, j, _q in sphere_pairs(ball, n, m):
             pairs += 1
-            path = inside_path(ball, i, j, n, cap=cap_fn(n))
+            path = inside_path(ball, i, j, n, cap=4 * n + 64)
             if path is None:
                 absent += 1
             else:

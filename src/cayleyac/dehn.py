@@ -215,11 +215,10 @@ def _random_d_reduced(system: DehnSystem, length: int, rng: random.Random) -> Wo
 
 
 def measure_quasi_constants(group, system: DehnSystem, ball, radius: int,
-                            samples: int = 400, seed: int = 0,
-                            ms: Sequence[int] = (1, 2)) -> QuasiConstants:
-    """Empirical (lambda, epsilon), fellow-traveler constants k(m) and a
-    thin-triangle delta, measured over sampled D-reduced words of length up
-    to ``radius`` with exact lengths from the ball."""
+                            samples: int = 400, seed: int = 0) -> QuasiConstants:
+    """Empirical (lambda, epsilon), fellow-traveler constants k(m) for
+    m = 1, 2 and a thin-triangle delta, measured over sampled D-reduced words
+    of length up to ``radius`` with exact lengths from the ball."""
     rng = random.Random(seed)
     words: list[Word] = []
     # exhaustive short words, then random longer ones
@@ -255,7 +254,7 @@ def measure_quasi_constants(group, system: DehnSystem, ball, radius: int,
     # nearby endpoint, then take the worst two-sided prefix-grid distance
     k_of_m: dict[int, int] = {}
     names = system.alphabet.names
-    for m in ms:
+    for m in (1, 2):
         worst = 0
         for w in words[: min(len(words), 120)]:
             end = group.evaluate(w)

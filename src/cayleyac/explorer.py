@@ -18,15 +18,6 @@ from .groups import GroupInterface
 from .words import Word
 
 
-class BudgetExceeded(RuntimeError):
-    """The exploration budget was hit; the partial ball is unusable for
-    convexity checks and is flagged as such."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class RadiusUnavailable(ValueError):
     pass
 
@@ -54,7 +45,10 @@ class Ball:
         self.weights: list[int] = []
         self.index: dict = {}  # resolved element -> index
         self.sphere_offsets: list[int] = [0]
-        self.complete = True
+        # inverse_gens[g] is the generator index of the inverse of generator g
+        alphabet = group.alphabet
+        self.inverse_gens = [alphabet.index(alphabet.inverse(name))
+                             for name in self.gen_names]
         self._adjacency: Optional[list[list[tuple[int, int]]]] = None
 
     # -- queries ------------------------------------------------------------
@@ -136,8 +130,9 @@ class Ball:
     def to_bytes(self) -> bytes:
         out = bytearray()
         out += _MAGIC
+        # the last header byte is a format constant, always 1
         out += struct.pack(">HIIHB", _VERSION, self.radius, len(self.elements),
-                           len(self.gen_names), 1 if self.complete else 0)
+                           len(self.gen_names), 1)
         for key, length, (parent, gen), weight in zip(
             self.keys, self.lengths, self.parents, self.weights
         ):
@@ -155,20 +150,22 @@ class Ball:
     @classmethod
     def from_bytes(cls, data: bytes, group: GroupInterface) -> "Ball":
         """Decode a ball written by ``to_bytes``.  Raises ValueError when the
-        data is truncated or over-long, of another format version, or for a
-        generating set of another size."""
+        data is truncated or over-long, of another format version, with a
+        last header byte other than 1, or for a generating set of another
+        size."""
         if data[:4] != _MAGIC:
             raise ValueError("not a ball cache file")
         if len(data) < 17:
             raise ValueError("truncated ball cache header")
-        version, radius, count, genc, complete = struct.unpack(">HIIHB", data[4:17])
+        version, radius, count, genc, flag = struct.unpack(">HIIHB", data[4:17])
         if version != _VERSION:
             raise ValueError(f"cache version {version} unsupported")
+        if flag != 1:
+            raise ValueError(f"cache header flag byte is {flag}, not 1")
         if genc != len(group.alphabet.names):
             raise ValueError(f"cache has {genc} generators, the group has "
                              f"{len(group.alphabet.names)}")
         ball = cls(group, radius)
-        ball.complete = bool(complete)
         pos = 17
         for _ in range(count):
             # a cut inside the 2-byte length field also fails this check
@@ -197,8 +194,7 @@ class Ball:
             return cls.from_bytes(fh.read(), group)
 
 
-def build_ball(group: GroupInterface, radius: int,
-               max_elements: Optional[int] = None) -> Ball:
+def build_ball(group: GroupInterface, radius: int) -> Ball:
     """Complete deduplicated ball of the given radius."""
     ball = Ball(group, radius)
     gen_names = ball.gen_names
@@ -246,11 +242,6 @@ def build_ball(group: GroupInterface, radius: int,
         level = []
         for key, w, pkey, gi, pi, elem in newbies:
             idx = len(ball.elements)
-            if max_elements is not None and idx >= max_elements:
-                ball.complete = False
-                raise BudgetExceeded(
-                    f"ball exceeded {max_elements} elements at radius {depth}", partial=ball
-                )
             ball.elements.append(elem)
             ball.keys.append(key)
             ball.lengths.append(depth)
@@ -337,8 +328,7 @@ def inside_path(ball: Ball, i: int, j: int, n: int,
     adj = ball.adjacency()
     lengths = ball.lengths
     names = ball.gen_names
-    alphabet = ball.group.alphabet
-    inv_gen = [alphabet.index(alphabet.inverse(name)) for name in names]
+    inv_gen = ball.inverse_gens
 
     fwd = {i: (None, None, 0)}  # node -> (prev node, edge generator, depth)
     bwd = {j: (None, None, 0)}

@@ -4,9 +4,8 @@ The cocycle is never materialized: an element is a pair (central vector,
 D-reduced base word) and multiplication concatenates base words, reducing
 with the relator system while every more-than-half replacement deposits the
 relator's central charge.  The generating set consists of the base letters
-(with optional central offsets), the zero-offset lifts, and a central
-alphabet assembled from the lifted relator charges, a budgeted short-word
-enumeration, and a certified relator-power completion."""
+and a central alphabet assembled from the relator charges, a budgeted
+short-word enumeration, and a certified relator-power completion."""
 
 from __future__ import annotations
 
@@ -73,7 +72,6 @@ class CentralExtension(GroupInterface):
 
     def __init__(self, base, relator_charges: Mapping[Word, tuple[int, ...]],
                  rank: int = 1, quasi: Optional[QuasiConstants] = None,
-                 base_offsets: Optional[Mapping[str, tuple[int, ...]]] = None,
                  budget: int = 10 ** 6, extra_central: Sequence[tuple[int, ...]] = ()):
         self.base = base
         self.rank = rank
@@ -85,14 +83,9 @@ class CentralExtension(GroupInterface):
                 raise ValueError("charge rank mismatch")
         self.dehn, self.charges = close_dehn_with_charges(base_rels, base.alphabet)
 
-        self.offsets = {name: self._zero for name in base.alphabet.names}
-        for name, off in (base_offsets or {}).items():
-            self.offsets[name] = tuple(off)
-            self.offsets[base.alphabet.inverse(name)] = _vec_neg(tuple(off))
-
         self._identity = ExtElement(self._zero, base.identity)
         self._images: dict[str, ExtElement] = {
-            name: ExtElement(self.offsets[name], base.evaluate((name,)))
+            name: ExtElement(self._zero, base.evaluate((name,)))
             for name in base.alphabet.names
         }
         self.central = self._build_central_alphabet(budget, extra_central)
@@ -109,28 +102,8 @@ class CentralExtension(GroupInterface):
 
     # -- construction of the central alphabet --------------------------------
 
-    def _lifted_prefix_charges(self) -> set[tuple[int, ...]]:
-        """Prefix sums over offset/zero spellings of each relator, shifted by
-        the relator's lifted charge.  With zero offsets this is the charge
-        set itself."""
-        out: set[tuple[int, ...]] = set()
-        for rel in self.dehn.relators:
-            dtilde = self.charges[rel]
-            prefixes = {self._zero}
-            acc = {self._zero}
-            for letter in rel:
-                off = self.offsets[letter]
-                choices = {off, self._zero}
-                acc = {_vec_add(a, c) for a in acc for c in choices}
-                prefixes |= acc
-                if len(prefixes) > 4096:
-                    break
-            for prefix in prefixes:
-                out.add(_vec_add(prefix, dtilde))
-        return out
-
     def _build_central_alphabet(self, budget: int, extra) -> CentralAlphabet:
-        values: set[tuple[int, ...]] = {v for v in self._lifted_prefix_charges() if any(v)}
+        values: set[tuple[int, ...]] = {c for c in self.charges.values() if any(c)}
         for v in extra:
             if any(v):
                 values.add(tuple(v))
@@ -235,16 +208,6 @@ class CentralExtension(GroupInterface):
             f" central={[v for _, v in self.central.letter_pairs()]}"
         )
 
-    def assembled_generating_set(self) -> dict[str, list[str]]:
-        """The generating set by role: the supplied base letters, the
-        zero-offset lifts (identical to them when no offsets are configured),
-        and the central letters."""
-        base_letters = [n for n in self.base.alphabet.names]
-        zero_offset = [n for n in base_letters if not any(self.offsets[n])]
-        central = [name for name, _ in self.central.letter_pairs()]
-        central += [self.alphabet.inverse(name) for name, _ in self.central.letter_pairs()]
-        return {"base": base_letters, "zero_offset": zero_offset, "central": central}
-
     # -- central geodesics ------------------------------------------------------
 
     def central_geodesic(self, vec: tuple[int, ...]) -> Word:
@@ -301,13 +264,8 @@ class CentralExtension(GroupInterface):
         the front and the base projection becomes D-reduced, each replacement
         consuming a relator charge realized by central letters."""
         vec, base_word = self.split_central(word)
-        for letter in base_word:
-            vec = _vec_add(vec, self.offsets[letter])
         reduced, consumed = d_reduce_with_charges(base_word, self.dehn, self.charges, self.rank)
-        vec = _vec_add(vec, consumed)
-        for letter in reduced:
-            vec = _vec_add(vec, _vec_neg(self.offsets[letter]))
-        return self.central_geodesic(vec) + reduced
+        return self.central_geodesic(_vec_add(vec, consumed)) + reduced
 
 
 class PreconditionViolated(ValueError):

@@ -39,10 +39,6 @@ def path_vertices(word: Sequence[str], steps=None) -> list[tuple[int, int]]:
     return verts
 
 
-def is_closed(word: Sequence[str], steps=None) -> bool:
-    return path_vertices(word, steps)[-1] == (0, 0)
-
-
 def signed_area(word: Sequence[str]) -> int:
     """Shoelace signed area of a closed square-lattice word, counterclockwise
     positive, in unit squares."""

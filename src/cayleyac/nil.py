@@ -21,10 +21,6 @@ NilElement = tuple[int, int, int]
 NIL_IDENTITY: NilElement = (0, 0, 0)
 
 
-class MixedDegree(ValueError):
-    """Two Heisenberg lattices of different extension degree were combined."""
-
-
 def nil_multiply(u: NilElement, v: NilElement, e: int) -> NilElement:
     a, b, t = u
     a2, b2, t2 = v

@@ -170,14 +170,14 @@ class SurfaceElement:
 
 
 class SurfaceGroup(GroupInterface):
-    def __init__(self, genus: int = 2, seed: int = 0x5EED):
+    def __init__(self, genus: int = 2):
         if genus < 2:
             raise ValueError("hyperbolic surface groups need genus >= 2")
         self.genus = genus
         self.alphabet = surface_alphabet(genus)
         self.relator = surface_relator(genus)
         self.dehn = close_dehn([self.relator], self.alphabet)
-        rng = random.Random(seed)
+        rng = random.Random(0x5EED)
         self._homs = []
         for p in _PRIMES:
             images = _find_surface_hom(genus, p, rng)

@@ -253,6 +253,7 @@ class TriangleGroup(GroupInterface):
         self._images[self.alphabet.inverse("v")] = _mat_mul(f, r3, r2)
         self._identity = _mat_identity(f)
         self._check_orders()
+        self._dehn = None  # built by the first dehn_system() call
 
     def _check_orders(self):
         p, q, r = self.orders
@@ -332,21 +333,16 @@ class TriangleGroup(GroupInterface):
         extend([], self._identity)
         return out
 
-    def dehn_system(self, scale: int | None = None):
-        """Relator system seeded with every short identity word (scale
-        defaults to relator length + 1) and closed under inversion and
-        rotation.  Short power relators of self-inverse generators live in
-        free reduction instead."""
+    def dehn_system(self):
+        """Relator system seeded with every identity word of length up to
+        2r + 1 and closed under inversion and rotation, built on the first
+        call.  Short power relators of self-inverse generators live in free
+        reduction instead."""
         from .dehn import close_dehn
 
-        p, q, r = self.orders
-        if scale is None:
-            scale = 2 * r + 1
-        if getattr(self, "_dehn_cache", None) and self._dehn_cache[0] == scale:
-            return self._dehn_cache[1]
-        seeds = [w for w in self.identity_words(scale)]
-        if not seeds:
-            raise ValueError("no identity words found at this scale")
-        system = close_dehn(seeds, self.alphabet)
-        self._dehn_cache = (scale, system)
-        return system
+        if self._dehn is None:
+            seeds = self.identity_words(2 * self.orders[2] + 1)
+            if not seeds:
+                raise ValueError("no identity words of length up to 2r + 1")
+            self._dehn = close_dehn(seeds, self.alphabet)
+        return self._dehn

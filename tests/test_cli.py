@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from cayleyac import cli
 from cayleyac.cli import (GroupSpecError, build_group, parse_group_spec,
                           run_command)
 
@@ -25,14 +26,15 @@ def test_fingerprint_ignores_comments_and_whitespace():
 
 
 def test_parse_errors_name_the_field():
+    # field values are validated when the group is built
     with pytest.raises(GroupSpecError) as info:
-        parse_group_spec("kind=wat")
+        build_group(parse_group_spec("kind=wat"))
     assert info.value.record()["error"] == "UnknownKind"
     with pytest.raises(GroupSpecError) as info:
-        parse_group_spec("kind=heisenberg")
+        build_group(parse_group_spec("kind=heisenberg"))
     assert info.value.record()["field"] == "e"
     with pytest.raises(GroupSpecError) as info:
-        parse_group_spec("kind=heisenberg e=banana")
+        build_group(parse_group_spec("kind=heisenberg e=banana"))
     assert info.value.record()["error"] == "InvalidValue"
     with pytest.raises(GroupSpecError) as info:
         parse_group_spec("e=1")
@@ -87,6 +89,27 @@ def test_ball_and_ac_check(tmp_path, capsys):
     capsys.readouterr()
     assert run_command(["report", "--profile", out_json]) == 0
     assert json.loads(capsys.readouterr().out)["rows"] == 9
+
+
+def test_commands_build_the_group_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_build_group(spec):
+        calls.append(spec.kind)
+        return build_group(spec)
+
+    monkeypatch.setattr(cli, "build_group", counting_build_group)
+    nil = _write(tmp_path, "n1.group", "kind=heisenberg e=1 gens=plain")
+    surface = _write(tmp_path, "s2.group", "kind=surface genus=2")
+    for argv in (["ball", "--group", nil, "--radius", "3"],
+                 ["ac-check", "--group", nil, "--radius", "3",
+                  "--out", os.path.join(tmp_path, "prof.csv")],
+                 ["geodesic", "--group", nil, "--element", "1,0,0"],
+                 ["dehn", "--group", surface, "--word", "a1 a1-"]):
+        calls.clear()
+        assert run_command(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == 1, argv[0]
 
 
 def test_cache_dir_reuse(tmp_path, capsys):

@@ -3,9 +3,8 @@ import itertools
 
 import pytest
 
-from cayleyac.explorer import (Ball, BudgetExceeded, ElementAbsent,
-                               RadiusUnavailable, build_ball, cached_ball,
-                               inside_path, sphere_pairs)
+from cayleyac.explorer import (Ball, ElementAbsent, RadiusUnavailable,
+                               build_ball, cached_ball, inside_path, sphere_pairs)
 from cayleyac.extensions import CentralExtension
 from cayleyac.groups import FreeGroup, IntegerLattice
 from cayleyac.sol import SolLattice
@@ -63,13 +62,6 @@ def test_geodesic_witness_trivial(nil_xy_ball12):
     assert nil_xy_ball12.geodesic_witness((1, 0, 0)) == ("x",)
     with pytest.raises(ElementAbsent):
         nil_xy_ball12.geodesic_witness((99, 0, 0))
-
-
-def test_budget_exceeded():
-    with pytest.raises(BudgetExceeded) as info:
-        build_ball(IntegerLattice(2), 5, max_elements=10)
-    assert info.value.partial is not None
-    assert not info.value.partial.complete
 
 
 def test_sphere_pairs_lattice():
@@ -174,8 +166,9 @@ def test_cache_round_trip_surface(tmp_path, surface2):
 
 def test_cache_rejects_damaged_files(nil_xy, surface2):
     data = build_ball(nil_xy, 3).to_bytes()
+    # the last cases: format version 9, and a header flag byte of 0
     for bad in (data[:10], data[:17], data[: len(data) // 2], data[:-1], data + b"\0",
-                data[:4] + b"\0\x09" + data[6:]):
+                data[:4] + b"\0\x09" + data[6:], data[:16] + b"\0" + data[17:]):
         with pytest.raises(ValueError):
             Ball.from_bytes(bad, nil_xy)
     with pytest.raises(ValueError):
