@@ -304,11 +304,8 @@ def _dispatch(args) -> int:
     if args.command == "dehn":
         spec = _load_spec(args.group)
         group = build_group(spec)
-        if hasattr(group, "dehn"):
-            system = group.dehn
-        elif hasattr(group, "dehn_system"):
-            system = group.dehn_system()
-        else:
+        system = getattr(group, "dehn", None)
+        if system is None:
             raise _err("InvalidValue", f"{spec.kind} has no relator system", "group")
         from .dehn import d_reduce
 

@@ -139,7 +139,7 @@ def ac_profile(ball: Ball, m: int, n_max: Optional[int] = None,
         m=m,
         cap_rule="4n+64",
     )
-    ball.adjacency()  # resolves every ball edge first: word groups register in call order
+    ball.graph()  # products in ball order first: word groups register in call order
     for n in range(n_max + 1):
         pairs, k_max, total, absent = 0, -1, 0, 0
         for i, j, _q in sphere_pairs(ball, n, m):
@@ -222,20 +222,21 @@ def compare_witness(ball: Ball, n: int, m: int,
     """Drive a constructive witness-path operation over every sphere-n pair
     and hard-check it never leaves the ball; record its worst length against
     the breadth-first optimum and an optional declared bound."""
-    group = ball.group
+    rows = ball.graph()
+    stop = ball.sphere(n).stop  # ids below it are exactly B(n)
+    gen_index = {name: gi for gi, name in enumerate(ball.gen_names)}
     report = {"n": n, "pairs": 0, "max_constructive": 0, "max_optimal": 0,
               "bound": bound, "bound_ok": True}
     for i, j, q in sphere_pairs(ball, n, m):
         word = tuple(witness(i, j, q))
-        elem = ball.elements[i]
+        v = i
         for pos, letter in enumerate(word):
-            elem = group.multiply(elem, group.generator_images[letter])
-            idx = ball.locate(elem)
-            if idx is None or ball.lengths[idx] > n:
+            v = rows[v][gen_index[letter]]
+            if v >= stop:
                 raise ConstructionEscapedBall(
                     f"witness for pair ({i},{j}) left B({n}) after {pos + 1} letters"
                 )
-        if ball.locate(elem) != j:
+        if v != j:
             raise ConstructionEscapedBall(
                 f"witness for pair ({i},{j}) ends at the wrong element"
             )

@@ -6,6 +6,11 @@ tie-break (witness weight, parent key, generator index), which makes balls
 and all their witnesses reproducible bit for bit across runs.  A ball
 indexes its elements by value; every lookup of an element goes through
 ``Ball.locate``.
+
+Sphere pairs, inside paths and witness checks read one integer-indexed
+Cayley graph per ball (``Ball.graph``): the ball's vertices plus a halo of
+the spheres just outside it, with each group product computed once.  Pairs
+are found by index walks over that graph, with no multiply per pair.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ class RadiusUnavailable(ValueError):
 class ElementAbsent(KeyError):
     pass
 
+
+# a Cayley-graph entry whose product was never computed
+UNKNOWN = -1
 
 _MAGIC = b"CAYB"
 _VERSION = 2
@@ -49,7 +57,12 @@ class Ball:
         alphabet = group.alphabet
         self.inverse_gens = [alphabet.index(alphabet.inverse(name))
                              for name in self.gen_names]
-        self._adjacency: Optional[list[list[tuple[int, int]]]] = None
+        # the Cayley graph, built by ``graph`` to the depth it was asked
+        # for; _halo holds the elements of the outermost halo sphere, the
+        # only ones a deeper graph multiplies
+        self._rows: Optional[list[tuple[int, ...]]] = None
+        self._depth = 0
+        self._halo: list = []
 
     # -- queries ------------------------------------------------------------
 
@@ -109,21 +122,67 @@ class Ball:
             idx = parent
         return tuple(reversed(letters))
 
+    def graph(self, depth: int = 0) -> list[tuple[int, ...]]:
+        """The Cayley graph as rows of neighbour ids, one entry per
+        generator: rows[v][g] is the id of (element v) * (generator g).
+
+        Ids below len(self) are ball indices.  Halo ids follow them and
+        number the spheres radius+1 .. radius+depth+1, sphere after sphere.
+        Every vertex of B(radius + depth) has a full row.  A vertex of the
+        outermost halo sphere knows only its edges back into the sphere
+        below it and holds UNKNOWN in the other entries.  The graph is
+        built on the first call and extended by later calls that ask for
+        more depth; each product is computed once."""
+        if self._rows is None:
+            self._rows = [(UNKNOWN,) * len(self.gen_names)] * len(self)
+            self._complete_rows(self.elements, self.index)
+        while self._depth < depth:
+            first = len(self._rows) - len(self._halo)
+            self._complete_rows(self._halo, {elem: first + k
+                                             for k, elem in enumerate(self._halo)})
+            self._depth += 1
+        return self._rows
+
+    def _complete_rows(self, elements: list, known: dict) -> None:
+        """Fill in the UNKNOWN entries in the rows of the last
+        len(elements) vertices, whose elements are given, looking each
+        product up in ``known``.  A product not found there lies in the next
+        sphere out: it becomes a new halo vertex whose row holds its edges
+        back to the vertices given.  Products are taken in vertex order x
+        generator order, so word groups register new elements in that
+        order."""
+        group = self.group
+        images = [group.generator_images[name] for name in self.gen_names]
+        inverse = self.inverse_gens
+        rows = self._rows
+        start = len(rows)  # the first new halo id
+        first = start - len(elements)
+        fresh: dict = {}  # new element -> halo id; dropped once ids are given
+        fresh_rows: list[list[int]] = []
+        for v, elem in enumerate(elements, first):
+            row = list(rows[v])
+            for gi, img in enumerate(images):
+                if row[gi] != UNKNOWN:
+                    continue
+                child = group.resolve(group.multiply(elem, img))
+                j = known.get(child)
+                if j is None:
+                    j = fresh.get(child)
+                    if j is None:
+                        j = fresh[child] = start + len(fresh)
+                        fresh_rows.append([UNKNOWN] * len(images))
+                    fresh_rows[j - start][inverse[gi]] = v
+                row[gi] = j
+            rows[v] = tuple(row)
+        rows.extend(tuple(row) for row in fresh_rows)
+        self._halo = list(fresh)
+
     def adjacency(self) -> list[list[tuple[int, int]]]:
-        """adj[i] = [(generator index, target index)] restricted to the ball."""
-        if self._adjacency is None:
-            group = self.group
-            images = [group.generator_images[name] for name in self.gen_names]
-            adj: list[list[tuple[int, int]]] = []
-            for elem in self.elements:
-                row = []
-                for gi, img in enumerate(images):
-                    j = self.locate(group.multiply(elem, img))
-                    if j is not None:
-                        row.append((gi, j))
-                adj.append(row)
-            self._adjacency = adj
-        return self._adjacency
+        """adj[i] = [(generator index, target index)] restricted to the
+        ball: a view of the Cayley graph's rows, built on each call."""
+        size = len(self)
+        return [[(gi, j) for gi, j in enumerate(row) if j < size]
+                for row in self.graph()[:size]]
 
     # -- serialization --------------------------------------------------------
 
@@ -271,46 +330,39 @@ def cached_ball(group: GroupInterface, radius: int, cache_dir: Optional[str] = N
     return ball
 
 
-def _connectors(group: GroupInterface, m: int) -> list[tuple[object, Word]]:
-    """The distinct non-identity elements h of B(m), each with its
-    shortlex-least word in generator-index order, listed in the shortlex
-    order of those words.  Extending the level-(k-1) words in order by each
-    generator in order visits words of length k in lexicographic order, and
-    a prefix of a shortlex-least word is itself shortlex-least, so the first
-    word that reaches an element is its least one."""
-    names = tuple(group.alphabet.names)
-    images = [group.generator_images[name] for name in names]
-    ident = group.resolve(group.identity)
-    seen = {ident}
-    table: list[tuple[object, Word]] = []
-    level = [(ident, ())]
-    for _ in range(m):
-        nxt = []
-        for elem, word in level:
-            for gi, img in enumerate(images):
-                child = group.resolve(group.multiply(elem, img))
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append((child, word + (names[gi],)))
-        table.extend(nxt)
-        level = nxt
-    return table
-
-
 def sphere_pairs(ball: Ball, n: int, m: int) -> Iterator[tuple[int, int, Word]]:
     """Unordered pairs of sphere-n elements at distance <= m, each exactly
     once as (i, j, q) with i < j, where q is the shortlex-least word with
-    g_i q = g_j.  Pairs come in order of i, then of q."""
+    g_i q = g_j.  Pairs come in order of i, then of q.
+
+    From each g_i the words of length 1..m are walked breadth-first over
+    the Cayley graph, each level extending the previous level's first
+    arrivals in order by each generator in order.  That visits words in
+    shortlex order, and a prefix of a shortlex-least word is itself
+    shortlex-least, so the first word that reaches a vertex is its least
+    one.  A walk of length <= m between two sphere-n vertices stays in
+    B(n + floor(m/2)), and each of its edges touches B(n + ceil(m/2) - 1),
+    which fixes how far past the ball the graph must reach."""
     if n > ball.radius:
         raise RadiusUnavailable(f"sphere {n} of a radius-{ball.radius} ball")
-    group = ball.group
-    table = _connectors(group, m)
+    rows = ball.graph(max(0, n + (m + 1) // 2 - 1 - ball.radius))
+    names = ball.gen_names
+    stop = ball.sphere(n).stop
     for i in ball.sphere(n):
-        g = ball.elements[i]
-        for h, q in table:
-            j = ball.locate(group.multiply(g, h))
-            if j is not None and j > i and ball.lengths[j] == n:
-                yield (i, j, q)
+        seen = {i, UNKNOWN}  # an unknown edge leads to no sphere-n vertex
+        level: list[tuple[int, Word]] = [(i, ())]
+        for _ in range(m):
+            nxt = []
+            for u, word in level:
+                for gi, v in enumerate(rows[u]):
+                    if v in seen:
+                        continue
+                    seen.add(v)
+                    q = word + (names[gi],)
+                    nxt.append((v, q))
+                    if i < v < stop:
+                        yield (i, v, q)
+            level = nxt
 
 
 def inside_path(ball: Ball, i: int, j: int, n: int,
@@ -325,8 +377,8 @@ def inside_path(ball: Ball, i: int, j: int, n: int,
         cap = 4 * n + 64
     if i == j:
         return ()
-    adj = ball.adjacency()
-    lengths = ball.lengths
+    rows = ball.graph()
+    stop = ball.sphere(n).stop  # ids below it are exactly B(n)
     names = ball.gen_names
     inv_gen = ball.inverse_gens
 
@@ -342,8 +394,8 @@ def inside_path(ball: Ball, i: int, j: int, n: int,
         new = []
         for u in frontier:
             du = visited[u][2]
-            for gi, v in adj[u]:
-                if lengths[v] > n or v in visited:
+            for gi, v in enumerate(rows[u]):
+                if v >= stop or v in visited:
                     continue
                 visited[v] = (u, gi, du + 1)
                 new.append(v)

@@ -202,7 +202,7 @@ class CentralExtension(GroupInterface):
         return ExtElement(avec, base_elem)
 
     def fingerprint(self) -> str:
-        charge_desc = sorted((" ".join(r), list(c)) for r, c in self.charges.items())[:2]
+        charge_desc = sorted((" ".join(r), list(c)) for r, c in self.charges.items())
         return self.word_fingerprint(
             f"central_ext rank={self.rank} base={self.base.fingerprint()} {charge_desc}"
             f" central={[v for _, v in self.central.letter_pairs()]}"

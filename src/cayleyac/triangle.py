@@ -12,6 +12,7 @@ are exact matrix comparisons.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import lcm
 
 from .groups import GroupInterface
@@ -253,7 +254,6 @@ class TriangleGroup(GroupInterface):
         self._images[self.alphabet.inverse("v")] = _mat_mul(f, r3, r2)
         self._identity = _mat_identity(f)
         self._check_orders()
-        self._dehn = None  # built by the first dehn_system() call
 
     def _check_orders(self):
         p, q, r = self.orders
@@ -333,16 +333,19 @@ class TriangleGroup(GroupInterface):
         extend([], self._identity)
         return out
 
-    def dehn_system(self):
+    @cached_property
+    def dehn(self):
         """Relator system seeded with every identity word of length up to
-        2r + 1 and closed under inversion and rotation, built on the first
-        call.  Short power relators of self-inverse generators live in free
+        2r + 1 and closed under inversion and rotation, built on first use.
+        Short power relators of self-inverse generators live in free
         reduction instead."""
         from .dehn import close_dehn
 
-        if self._dehn is None:
-            seeds = self.identity_words(2 * self.orders[2] + 1)
-            if not seeds:
-                raise ValueError("no identity words of length up to 2r + 1")
-            self._dehn = close_dehn(seeds, self.alphabet)
-        return self._dehn
+        seeds = self.identity_words(2 * self.orders[2] + 1)
+        if not seeds:
+            raise ValueError("no identity words of length up to 2r + 1")
+        return close_dehn(seeds, self.alphabet)
+
+    def dehn_system(self):
+        """The relator system ``dehn``."""
+        return self.dehn

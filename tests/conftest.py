@@ -40,7 +40,7 @@ def triangle_ball(triangle237):
 
 @pytest.fixture(scope="session")
 def triangle_dehn(triangle237):
-    return triangle237.dehn_system()
+    return triangle237.dehn
 
 
 @pytest.fixture(scope="session")

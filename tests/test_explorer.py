@@ -3,10 +3,12 @@ import itertools
 
 import pytest
 
+from cayleyac.convexity import ac_profile
 from cayleyac.explorer import (Ball, ElementAbsent, RadiusUnavailable,
                                build_ball, cached_ball, inside_path, sphere_pairs)
 from cayleyac.extensions import CentralExtension
 from cayleyac.groups import FreeGroup, IntegerLattice
+from cayleyac.nil import NilGenSet, NilGroup
 from cayleyac.sol import SolLattice
 from cayleyac.surface import SurfaceGroup
 from cayleyac.triangle import TriangleGroup
@@ -109,14 +111,51 @@ def _reference_sphere_pairs(ball, n, m):
 
 
 @pytest.mark.parametrize("fixture, radius, m", [
-    ("nil_hex", 6, 2), ("nil_hex", 5, 3), ("sol", 5, 2), ("klein", 4, 2),
-    ("surface2", 3, 2),
+    ("nil_hex", 6, 2), ("nil_hex", 5, 3), ("nil_hex", 4, 4), ("sol", 5, 2), ("sol", 4, 3),
+    ("klein", 4, 2), ("surface2", 3, 2), ("surface2", 3, 3), ("central", 3, 2),
 ])
 def test_sphere_pairs_match_word_search(request, fixture, radius, m):
-    group = SolLattice(((2, 1), (1, 1))) if fixture == "sol" else request.getfixturevalue(fixture)
+    # m = 3 and 4 reach past the one-sphere halo at n = radius
+    if fixture == "sol":
+        group = SolLattice(((2, 1), (1, 1)))
+    elif fixture == "central":
+        group = _central_extension()
+    else:
+        group = request.getfixturevalue(fixture)
     ball = build_ball(group, radius)
     for n in range(radius + 1):
         assert list(sphere_pairs(ball, n, m)) == list(_reference_sphere_pairs(ball, n, m))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: NilGroup(1, NilGenSet("hexagonal", include_z=False)), lambda: SurfaceGroup(2),
+], ids=["nil_hex", "surface2"])
+def test_graph_walks_multiply_nothing(make):
+    """Once the Cayley graph is built, pair enumeration at m = 2 and the
+    inside-path search read it and never multiply."""
+    group = make()
+    ball = build_ball(group, 4)
+    ball.graph()
+    calls = []
+    multiply = group.multiply
+    group.multiply = lambda u, v: calls.append(1) or multiply(u, v)
+    for n in range(ball.radius + 1):
+        pairs = list(sphere_pairs(ball, n, 2))
+        for i, j, _q in pairs:
+            assert inside_path(ball, i, j, n) is not None
+    assert pairs and not calls
+
+
+def test_surface_history_after_profile():
+    """A profile on a small ball resolves products into the group's memo;
+    a bigger ball built afterwards on the same instance must still be the
+    fresh one, byte for byte."""
+    group = SurfaceGroup(2)
+    ac_profile(build_ball(group, 3), 2)
+    data = build_ball(group, 5).to_bytes()
+    assert data == build_ball(SurfaceGroup(2), 5).to_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "024673e8ab918fdc5a623b027d2c03e9bde926f7978f670920bfe87a41f6f34f")
 
 
 def test_inside_path_lattice():

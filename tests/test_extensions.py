@@ -146,3 +146,15 @@ def test_direct_product_central_values(surface2):
     assert trivial.central.names == {"c1": (1,)}
     g = trivial.evaluate(surface2.relator)
     assert g.avec == (0,)
+
+
+def test_fingerprint_hashes_every_charge(surface2):
+    # one surface relator gives every closed relator the same charge up to
+    # sign, so the two charge maps are made to differ by hand, past the
+    # second entry in sorted order
+    first = CentralExtension(surface2, {surface2.relator: (1,)})
+    second = CentralExtension(surface2, {surface2.relator: (1,)})
+    assert first.fingerprint() == second.fingerprint()
+    third = sorted(second.charges, key=" ".join)[2]
+    second.charges[third] = (5,)
+    assert first.fingerprint() != second.fingerprint()
