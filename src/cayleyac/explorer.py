@@ -1,11 +1,13 @@
 """Exact breadth-first enumeration of Cayley-graph balls.
 
-Expansion is level-synchronous; within a level, elements are inserted in
-the order of their resolved keys and parent edges are chosen by the
-tie-break (witness weight, parent key, generator index), which makes balls
-and all their witnesses reproducible bit for bit across runs.  A ball
-indexes its elements by value; every lookup of an element goes through
-``Ball.locate``.
+Expansion is level-synchronous.  Within a level, products are taken in
+parent x generator order, the order ``Ball.graph`` uses, and resolved only
+when they are not indexed as given, so word groups register new elements in
+one order.  Each new element keeps its least edge by (witness weight,
+parent index, generator index) and is keyed once; new elements are inserted
+in key order.  Balls and all their witnesses are therefore reproducible bit
+for bit across runs.  A ball indexes its elements by value; every lookup of
+an element goes through ``Ball.locate``.
 
 Sphere pairs, inside paths and witness checks read one integer-indexed
 Cayley graph per ball (``Ball.graph``): the ball's vertices plus a halo of
@@ -84,6 +86,15 @@ class Ball:
             offsets[n] += offsets[n - 1]
         self.sphere_offsets = offsets
 
+    def _append(self, elem, key: bytes, length: int, parent: int, gen: int,
+                weight: int) -> None:
+        self.index[elem] = len(self.elements)
+        self.elements.append(elem)
+        self.keys.append(key)
+        self.lengths.append(length)
+        self.parents.append((parent, gen))
+        self.weights.append(weight)
+
     def sphere_sizes(self) -> list[int]:
         return [len(self.sphere(n)) for n in range(self.radius + 1)]
 
@@ -146,11 +157,12 @@ class Ball:
     def _complete_rows(self, elements: list, known: dict) -> None:
         """Fill in the UNKNOWN entries in the rows of the last
         len(elements) vertices, whose elements are given, looking each
-        product up in ``known``.  A product not found there lies in the next
-        sphere out: it becomes a new halo vertex whose row holds its edges
-        back to the vertices given.  Products are taken in vertex order x
-        generator order, so word groups register new elements in that
-        order."""
+        product up in ``known`` as given and, on a miss, resolved; only a
+        miss can register a new representative.  A product not found there
+        lies in the next sphere out: it becomes a new halo vertex whose row
+        holds its edges back to the vertices given.  Products are taken in
+        vertex order x generator order, the order ``build_ball`` uses, so
+        word groups register new elements in that order."""
         group = self.group
         images = [group.generator_images[name] for name in self.gen_names]
         inverse = self.inverse_gens
@@ -164,8 +176,11 @@ class Ball:
             for gi, img in enumerate(images):
                 if row[gi] != UNKNOWN:
                     continue
-                child = group.resolve(group.multiply(elem, img))
+                child = group.multiply(elem, img)
                 j = known.get(child)
+                if j is None:
+                    child = group.resolve(child)
+                    j = known.get(child)
                 if j is None:
                     j = fresh.get(child)
                     if j is None:
@@ -234,14 +249,7 @@ class Ball:
             key = data[pos + 2 : key_end]
             length, parent, gen, weight = struct.unpack_from(">IiiI", data, key_end)
             pos = key_end + 16
-            elem = group.decode_key(key)
-            idx = len(ball.elements)
-            ball.elements.append(elem)
-            ball.keys.append(key)
-            ball.lengths.append(length)
-            ball.parents.append((parent, gen))
-            ball.weights.append(weight)
-            ball.index[elem] = idx
+            ball._append(group.decode_key(key), key, length, parent, gen, weight)
         if pos != len(data):
             raise ValueError(f"{len(data) - pos} bytes after the last ball cache record")
         ball._recompute_offsets()
@@ -256,58 +264,38 @@ class Ball:
 def build_ball(group: GroupInterface, radius: int) -> Ball:
     """Complete deduplicated ball of the given radius."""
     ball = Ball(group, radius)
-    gen_names = ball.gen_names
-    images = [group.generator_images[name] for name in gen_names]
-    gweights = [group.generator_weight(name) for name in gen_names]
+    images = [group.generator_images[name] for name in ball.gen_names]
+    gweights = [group.generator_weight(name) for name in ball.gen_names]
+    index = ball.index
 
     ident = group.resolve(group.identity)
-    ball.elements.append(ident)
-    ball.keys.append(group.key(ident))
-    ball.lengths.append(0)
-    ball.parents.append((-1, -1))
-    ball.weights.append(0)
-    ball.index[ident] = 0
-
-    level = [0]
+    ball._append(ident, group.key(ident), 0, -1, -1, 0)
+    level = range(1)
     for depth in range(1, radius + 1):
-        # a child that is indexed as given is a registered representative
-        # already in the ball, so it needs no resolve
-        raw: list[tuple] = []
+        # the least (weight, parent index, generator) edge of each new element
+        best: dict = {}
         for pi in level:
             parent = ball.elements[pi]
             pw = ball.weights[pi]
-            pkey = ball.keys[pi]
             for gi, img in enumerate(images):
                 child = group.multiply(parent, img)
-                if child not in ball.index:
-                    raw.append((group.key(child), pw + gweights[gi], pkey, gi, pi, child))
-
-        # canonical merge: resolve in key order, keep the best parent edge.
-        # (parent key, generator) is unique, so sorting never compares past it.
-        raw.sort()
-        cands: dict = {}
-        for key, w, pkey, gi, pi, child in raw:
-            elem = group.resolve(child)
-            if elem is not child:
-                if elem in ball.index:
+                # a child indexed as given is a registered representative
+                # already in the ball, so it needs no resolve
+                if child in index:
                     continue
-                key = group.key(elem)
-            prev = cands.get(elem)
-            if prev is None or (w, pkey, gi) < prev[1:4]:
-                cands[elem] = (key, w, pkey, gi, pi, elem)
+                elem = group.resolve(child)
+                if elem in index:
+                    continue
+                edge = (pw + gweights[gi], pi, gi)
+                prev = best.get(elem)
+                if prev is None or edge < prev:
+                    best[elem] = edge
         # keys are injective, so sorting never compares past the key
-        newbies = sorted(cands.values())
-
-        level = []
-        for key, w, pkey, gi, pi, elem in newbies:
-            idx = len(ball.elements)
-            ball.elements.append(elem)
-            ball.keys.append(key)
-            ball.lengths.append(depth)
-            ball.parents.append((pi, gi))
-            ball.weights.append(w)
-            ball.index[elem] = idx
-            level.append(idx)
+        start = len(ball)
+        for key, elem in sorted((group.key(elem), elem) for elem in best):
+            w, pi, gi = best[elem]
+            ball._append(elem, key, depth, pi, gi, w)
+        level = range(start, len(ball))
     ball._recompute_offsets()
     return ball
 

@@ -307,9 +307,8 @@ class WallpaperQuotient(GroupInterface):
 # Built-in configurations.
 
 
-def klein_bottle_config(e: int = 2, y_offset_range: int = 2,
-                        rho_square_z: int = 0) -> FiniteExtensionConfig:
-    """Nil lattice over the Klein bottle: rho^2 = x z^gamma, rho inverts the
+def klein_bottle_config(e: int = 2) -> FiniteExtensionConfig:
+    """Nil lattice over the Klein bottle: rho^2 = x, rho inverts the
     fiber direction, and consistency forces even e with the twist
     y -> (y z^{e/2})^{-1}."""
     if e % 2:
@@ -320,19 +319,19 @@ def klein_bottle_config(e: int = 2, y_offset_range: int = 2,
         z_image=(0, 0, -1),
         e=e,
     )
-    sat = SaturationSpec(y_offsets=tuple(range(-y_offset_range, y_offset_range + 1)))
+    sat = SaturationSpec(y_offsets=(-2, -1, 0, 1, 2))
     return FiniteExtensionConfig(
         name="klein_bottle",
         e=e,
         quotient_order=2,
         actions={1: phi},
-        cocycle={(1, 1): (1, 0, rho_square_z)},
+        cocycle={(1, 1): (1, 0, 0)},
         lifts={"r": ((0, 0, 0), 1)},
         saturation=sat,
     )
 
 
-def s2222_config(e: int = 1, m: int = 1, offset_range: int = 1) -> FiniteExtensionConfig:
+def s2222_config(e: int = 1, m: int = 1) -> FiniteExtensionConfig:
     """Nil lattice over the sphere with four cone points of order two: four
     half-turn lifts a, b, c, d over the inversion action, lift squares z^m.
     The central powers z^2, z^3 keep the K(2,n) profile flat on the tested
@@ -343,8 +342,7 @@ def s2222_config(e: int = 1, m: int = 1, offset_range: int = 1) -> FiniteExtensi
         z_image=(0, 0, 1),
         e=e,
     )
-    rng = tuple(range(-offset_range, offset_range + 1))
-    sat = SaturationSpec(x_offsets=rng, y_offsets=rng, z_powers=(2, 3))
+    sat = SaturationSpec(x_offsets=(-1, 0, 1), y_offsets=(-1, 0, 1), z_powers=(2, 3))
     return FiniteExtensionConfig(
         name="s2222",
         e=e,

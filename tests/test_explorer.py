@@ -146,16 +146,36 @@ def test_graph_walks_multiply_nothing(make):
     assert pairs and not calls
 
 
-def test_surface_history_after_profile():
+@pytest.mark.parametrize("make, radius, digest", [
+    (lambda: SurfaceGroup(2), 5,
+     "024673e8ab918fdc5a623b027d2c03e9bde926f7978f670920bfe87a41f6f34f"),
+    (lambda: _central_extension(), 4,
+     "03da5ea5d00caaaf0d85832c31ab6ffb9902f0194edcbdab6166618d6e5e98c7"),
+], ids=["surface2", "central"])
+def test_surface_history_after_profile(make, radius, digest):
     """A profile on a small ball resolves products into the group's memo;
     a bigger ball built afterwards on the same instance must still be the
     fresh one, byte for byte."""
-    group = SurfaceGroup(2)
+    group = make()
     ac_profile(build_ball(group, 3), 2)
-    data = build_ball(group, 5).to_bytes()
-    assert data == build_ball(SurfaceGroup(2), 5).to_bytes()
-    assert hashlib.sha256(data).hexdigest() == (
-        "024673e8ab918fdc5a623b027d2c03e9bde926f7978f670920bfe87a41f6f34f")
+    data = build_ball(group, radius).to_bytes()
+    assert data == build_ball(make(), radius).to_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("make, radius, size", [
+    (lambda: NilGroup(1, NilGenSet("hexagonal", include_z=False)), 6, 1309),
+    (lambda: SurfaceGroup(2), 3, 457),
+], ids=["nil_hex", "surface2"])
+def test_build_keys_each_element_once(make, radius, size):
+    """build_ball keys only the new elements, once each, not the duplicate
+    products that reach them."""
+    group = make()
+    calls = []
+    key = group.key
+    group.key = lambda elem: calls.append(1) or key(elem)
+    ball = build_ball(group, radius)
+    assert len(ball) == size and len(calls) == size
 
 
 def test_inside_path_lattice():
