@@ -239,14 +239,13 @@ def measure_quasi_constants(group, system: DehnSystem, ball, radius: int,
 
     # quasigeodesic data: (word length, element length) for all subwords
     data: list[tuple[int, int]] = []
+    images = group.generator_images
     for w in words:
-        prefix_elems = [group.identity]
-        for letter in w:
-            prefix_elems.append(group.multiply(prefix_elems[-1], group.generator_images[letter]))
         for i in range(len(w)):
+            sub = group.identity
             for j in range(i + 1, len(w) + 1):
-                diff = group.multiply(group.invert(prefix_elems[i]), prefix_elems[j])
-                data.append((j - i, ball.length_of(diff)))
+                sub = group.multiply(sub, images[w[j - 1]])
+                data.append((j - i, ball.length_of(sub)))
 
     lam, eps = _fit_quasi(data)
 
@@ -303,16 +302,17 @@ def _hausdorff(group, ball, u: Word, v: Word) -> int:
     """Two-sided Hausdorff distance between the paths labelled u and v,
     through exact ball lengths (distances beyond the ball radius are clamped
     to radius+1)."""
-    pu = _path_points(group, u)
     pv = _path_points(group, v)
-    grid = [[_dist(group, ball, a, b) for b in pv] for a in pu]
+    grid = [[_dist(group, ball, a_inv, b) for b in pv]
+            for a_inv in map(group.invert, _path_points(group, u))]
     one = max(min(row) for row in grid)
-    two = max(min(grid[i][j] for i in range(len(pu))) for j in range(len(pv)))
+    two = max(min(row[j] for row in grid) for j in range(len(pv)))
     return max(one, two)
 
 
-def _dist(group, ball, a, b) -> int:
-    diff = group.multiply(group.invert(a), b)
+def _dist(group, ball, a_inv, b) -> int:
+    """Length of a^-1 b, given a^-1."""
+    diff = group.multiply(a_inv, b)
     try:
         return ball.length_of(diff)
     except KeyError:
@@ -337,7 +337,7 @@ def _measure_delta(group, ball, words, rng) -> int:
         pa = _path_points(group, side_a)
         pb = [group.multiply(x, p) for p in _path_points(group, side_b)]
         pc = _path_points(group, side_c)
-        for p in pa:
-            worst = max(worst, min(min(_dist(group, ball, p, q) for q in pb),
-                                   min(_dist(group, ball, p, q) for q in pc)))
+        for p_inv in map(group.invert, pa):
+            worst = max(worst, min(min(_dist(group, ball, p_inv, q) for q in pb),
+                                   min(_dist(group, ball, p_inv, q) for q in pc)))
     return worst

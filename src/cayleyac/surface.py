@@ -1,12 +1,21 @@
 """Orientable surface groups with Dehn reduction as the word problem.
 
-Element equality is decided soundly: images under a pair of homomorphisms
-into SL(2, p) (plus the abelianization vector) are a complete *negative*
-test, and candidates with equal fingerprints are confirmed by reducing
-u * v^-1 with the relator system.  Representatives come from a clustering
-memo that stores the first geodesic word discovered for each element;
-exploration resolves candidates in a fixed order, so the keys of resolved
-elements are reproducible.
+Equality is decided soundly.  A fingerprint -- the abelianization vector and
+the image under one homomorphism into SL(2, p) -- is a complete *negative*
+test, and words with equal fingerprints are compared by Dehn-reducing
+u * v^-1.  The homomorphism is written down in closed form: handle 1 goes to
+a random pair (U, W); each middle handle goes to (cWc^-1, cZc^-1) with
+c = [U, W] and a fresh Z, after which the product so far is again one
+commutator [cUWU^-1c^-1, cZU^-1c^-1]; the last handle goes to
+(cWc^-1, cUc^-1), whose commutator [U, W]^-1 closes the relator to I.  This
+map has a small built-in kernel (a2 and [a1,b1] b1 [a1,b1]^-1 have one
+image), which the abelianization vector separates.
+
+Representatives come from a clustering memo that keeps the first word it
+sees for each element; which word that is does not depend on the
+homomorphism, only on the order of resolution.  Exploration resolves candidates in a fixed order, so
+the keys of resolved elements are reproducible, but they depend on what the
+instance resolved before.
 """
 
 from __future__ import annotations
@@ -17,135 +26,52 @@ from .dehn import close_dehn, d_reduce, surface_alphabet, surface_relator
 from .groups import GroupInterface, encode_word, decode_word
 from .words import Word, word_inverse
 
-_PRIMES = (1019, 2003)  # both 3 mod 4, so square roots are a single pow
-
-
-def _mat_mul(a, b, p):
-    return (
-        (a[0] * b[0] + a[1] * b[2]) % p,
-        (a[0] * b[1] + a[1] * b[3]) % p,
-        (a[2] * b[0] + a[3] * b[2]) % p,
-        (a[2] * b[1] + a[3] * b[3]) % p,
-    )
-
-
-def _mat_inv(a, p):
-    # determinant 1 throughout
-    return (a[3] % p, -a[1] % p, -a[2] % p, a[0] % p)
-
-
+_P = 1_073_741_789  # the largest prime below 2**30: entries are one-digit ints
 _ID2 = (1, 0, 0, 1)
 
 
-def _commutator(a, b, p):
-    return _mat_mul(_mat_mul(a, b, p), _mat_mul(_mat_inv(a, p), _mat_inv(b, p), p), p)
+def _mat_mul(a, b):
+    return (
+        (a[0] * b[0] + a[1] * b[2]) % _P,
+        (a[0] * b[1] + a[1] * b[3]) % _P,
+        (a[2] * b[0] + a[3] * b[2]) % _P,
+        (a[2] * b[1] + a[3] * b[3]) % _P,
+    )
 
 
-def _random_sl2(rng: random.Random, p: int):
-    while True:
-        m = [rng.randrange(p) for _ in range(4)]
-        det = (m[0] * m[3] - m[1] * m[2]) % p
-        if det == 0:
-            continue
-        if pow(det, (p - 1) // 2, p) != 1:
-            continue
-        root = pow(det, (p + 1) // 4, p)
-        inv = pow(root, p - 2, p)
-        return tuple(x * inv % p for x in m)
+def _mat_inv(a):
+    # determinant 1 throughout
+    return (a[3], -a[1] % _P, -a[2] % _P, a[0])
 
 
-def _nullspace(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the nullspace of a matrix over F_p (rows of length n)."""
-    n = len(rows[0])
-    mat = [row[:] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] % p:
-                factor = mat[r][col]
-                mat[r] = [(x - factor * y) % p for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-mat[r][fc]) % p
-        basis.append(vec)
-    return basis
+def _conj(c, x):
+    return _mat_mul(_mat_mul(c, x), _mat_inv(c))
 
 
-def _solve_conjugator(x, y, p):
-    """S with S x S^-1 = y and det(S) = 1, or None."""
-    # S x - y S = 0, S = (s0 s1; s2 s3)
-    rows = []
-    for i in range(2):
-        for j in range(2):
-            row = [0] * 4
-            for k in range(2):
-                row[2 * i + k] = (row[2 * i + k] + x[2 * k + j]) % p
-                row[2 * k + j] = (row[2 * k + j] - y[2 * i + k]) % p
-            rows.append(row)
-    basis = _nullspace(rows, p)
-    if not basis:
-        return None
-
-    def candidates():
-        if len(basis) == 1:
-            yield basis[0]
-            return
-        v1, v2 = basis[0], basis[1]
-        yield v2
-        for alpha in range(p):
-            yield [(c1 + alpha * c2) % p for c1, c2 in zip(v1, v2)]
-
-    for s in candidates():
-        det = (s[0] * s[3] - s[1] * s[2]) % p
-        if det and pow(det, (p - 1) // 2, p) == 1:
-            root = pow(det, (p + 1) // 4, p)
-            inv = pow(root, p - 2, p)
-            s = tuple(c * inv % p for c in s)
-            if _mat_mul(_mat_mul(s, x, p), _mat_inv(s, p), p) == y:
-                return s
-    return None
+def _commutator(a, b):
+    return _mat_mul(_mat_mul(a, b), _mat_mul(_mat_inv(a), _mat_inv(b)))
 
 
-def _find_surface_hom(genus: int, p: int, rng: random.Random):
-    """Generator images in SL(2,p) with product of commutators trivial."""
-    while True:
-        images = []
-        prod = _ID2
-        for _ in range(genus - 1):
-            a = _random_sl2(rng, p)
-            b = _random_sl2(rng, p)
-            images += [a, b]
-            prod = _mat_mul(prod, _commutator(a, b, p), p)
-        c = _mat_inv(prod, p)
-        a = _random_sl2(rng, p)
-        x = _mat_inv(a, p)
-        y = _mat_mul(x, c, p)
-        if (x[0] + x[3]) % p != (y[0] + y[3]) % p:
-            continue
-        if (x[0] + x[3]) % p in (2 % p, (p - 2) % p):
-            continue
-        s = _solve_conjugator(x, y, p)
-        if s is None:
-            continue
-        images += [a, s]
-        total = _ID2
-        for i in range(genus):
-            total = _mat_mul(total, _commutator(images[2 * i], images[2 * i + 1], p), p)
-        if total == _ID2:
-            return images
+def _random_sl2(rng: random.Random):
+    a = rng.randrange(1, _P)
+    b = rng.randrange(_P)
+    c = rng.randrange(_P)
+    return (a, b, c, (1 + b * c) * pow(a, -1, _P) % _P)
+
+
+def _surface_images(genus: int, rng: random.Random) -> list:
+    """Images of a1, b1, ..., ag, bg in SL(2, p) whose product of
+    commutators is I (see the module docstring)."""
+    u, w = _random_sl2(rng), _random_sl2(rng)
+    images = [u, w]
+    for _ in range(genus - 2):
+        c = _commutator(u, w)
+        z = _random_sl2(rng)
+        images += [_conj(c, w), _conj(c, z)]
+        u, w = (_conj(c, _mat_mul(_mat_mul(u, w), _mat_inv(u))),
+                _conj(c, _mat_mul(z, _mat_inv(u))))
+    c = _commutator(u, w)
+    return images + [_conj(c, w), _conj(c, u)]
 
 
 class SurfaceElement:
@@ -177,52 +103,32 @@ class SurfaceGroup(GroupInterface):
         self.alphabet = surface_alphabet(genus)
         self.relator = surface_relator(genus)
         self.dehn = close_dehn([self.relator], self.alphabet)
-        rng = random.Random(0x5EED)
-        self._homs = []
-        for p in _PRIMES:
-            images = _find_surface_hom(genus, p, rng)
-            table = {}
-            for i in range(genus):
-                for k, mat in ((2 * i, images[2 * i]), (2 * i + 1, images[2 * i + 1])):
-                    name = f"a{i + 1}" if k % 2 == 0 else f"b{i + 1}"
-                    table[name] = mat
-                    table[self.alphabet.inverse(name)] = _mat_inv(mat, p)
-            self._homs.append((p, table))
-        # abelianization positions
-        self._ab_pos = {}
-        for i, name in enumerate(n for n in self.alphabet.names if not n.endswith("-")):
-            self._ab_pos[name] = i
+        positive = [n for n in self.alphabet.names if not n.endswith("-")]
+        images = _surface_images(genus, random.Random(0x5EED))
+        self._identity = SurfaceElement((), ((0,) * len(positive), _ID2))
+        self._images = {}
+        for i, (name, mat) in enumerate(zip(positive, images)):
+            fp = (tuple(int(k == i) for k in range(len(positive))), mat)
+            inv = self.alphabet.inverse(name)
+            self._images[name] = SurfaceElement((name,), fp)
+            self._images[inv] = SurfaceElement((inv,), self._fp_inv(fp))
         self._registry: dict[tuple, list[Word]] = {}
-        self._identity = SurfaceElement((), self._fp_of_word(()))
 
-    # -- fingerprints ---------------------------------------------------------
+    # -- fingerprints: (abelianization vector, image in SL(2, p)) ---------------
 
     def _fp_of_word(self, word: Word) -> tuple:
-        ab = [0] * (2 * self.genus)
+        fp = self._identity.fp
         for letter in word:
-            if letter.endswith("-"):
-                ab[self._ab_pos[letter[:-1]]] -= 1
-            else:
-                ab[self._ab_pos[letter]] += 1
-        mats = []
-        for p, table in self._homs:
-            m = _ID2
-            for letter in word:
-                m = _mat_mul(m, table[letter], p)
-            mats.append(m)
-        return (tuple(ab), tuple(mats))
+            fp = self._fp_mul(fp, self._images[letter].fp)
+        return fp
 
-    def _fp_mul(self, fu: tuple, fv: tuple) -> tuple:
-        ab = tuple(x + y for x, y in zip(fu[0], fv[0]))
-        mats = tuple(
-            _mat_mul(mu, mv, p) for (p, _), mu, mv in zip(self._homs, fu[1], fv[1])
-        )
-        return (ab, mats)
+    @staticmethod
+    def _fp_mul(fu: tuple, fv: tuple) -> tuple:
+        return (tuple(x + y for x, y in zip(fu[0], fv[0])), _mat_mul(fu[1], fv[1]))
 
-    def _fp_inv(self, fu: tuple) -> tuple:
-        ab = tuple(-x for x in fu[0])
-        mats = tuple(_mat_inv(m, p) for (p, _), m in zip(self._homs, fu[1]))
-        return (ab, mats)
+    @staticmethod
+    def _fp_inv(fu: tuple) -> tuple:
+        return (tuple(-x for x in fu[0]), _mat_inv(fu[1]))
 
     # -- group interface --------------------------------------------------------
 
@@ -243,8 +149,7 @@ class SurfaceGroup(GroupInterface):
 
     @property
     def generator_images(self):
-        return {name: SurfaceElement((name,), self._fp_of_word((name,)))
-                for name in self.alphabet.names}
+        return self._images
 
     def is_identity_word(self, word) -> bool:
         return d_reduce(word, self.dehn) == ()

@@ -257,9 +257,7 @@ def _central_extension():
 ], ids=["triangle237", "triangle334", "surface2", "central"])
 def test_ball_bytes_pinned(make, radius, digest):
     # a fresh group per ball: a word group's representatives depend on what
-    # the instance resolved before.  Of these balls only the central
-    # extension's depends on build_ball recomputing a key after resolve
-    # moved a candidate to another representative.
+    # the instance resolved before.
     assert hashlib.sha256(build_ball(make(), radius).to_bytes()).hexdigest() == digest
 
 

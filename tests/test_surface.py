@@ -1,13 +1,29 @@
 import itertools
 import random
 
+import pytest
+
 from cayleyac.explorer import build_ball
+from cayleyac.surface import SurfaceGroup
 from cayleyac.words import free_reduce, word_inverse
 
 
-def test_relator_maps_to_identity_in_quotients(surface2):
-    fp = surface2._fp_of_word(surface2.relator)
-    assert fp == surface2.identity.fp
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_relator_maps_to_identity_in_quotients(genus):
+    group = SurfaceGroup(genus)
+    assert group._fp_of_word(group.relator) == group.identity.fp
+
+
+@pytest.mark.parametrize("genus, radius", [(2, 5), (3, 3)])
+def test_fingerprints_separate_ball(genus, radius):
+    # the SL(2, p) image alone collides on genus-2 B(5) (a2 and
+    # [a1,b1] b1 [a1,b1]^-1 share it); the abelianization vector separates
+    ball = build_ball(SurfaceGroup(genus), radius)
+    assert len({elem.fp for elem in ball.elements}) == len(ball)
+
+
+def test_generator_images_built_once(surface2):
+    assert surface2.generator_images is surface2.generator_images
 
 
 def test_equal_elements_same_key(surface2):
