@@ -192,6 +192,9 @@ def build_group(spec: GroupSpecFile):
         if not isinstance(charges, list):
             raise _err("InvalidValue", "charges must be a list", "charges")
         radius = params.get("constants_radius", 4)
+        if not isinstance(radius, int) or radius < 1:
+            raise _err("InvalidValue", "constants_radius must be an integer >= 1",
+                       "constants_radius")
         budget = params.get("budget", 10 ** 6)
         seed = params.get("constants_seed", 7)
         base = SurfaceGroup(genus)
@@ -285,6 +288,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "ac-check":
+        if args.m < 1:
+            raise _err("InvalidValue", "m must be >= 1", "m")
         spec = _load_spec(args.group)
         group = build_group(spec)
         ball = cached_ball(group, args.radius, cache_dir=args.cache_dir)

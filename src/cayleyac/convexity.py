@@ -128,7 +128,9 @@ class ConvexityProfile:
 def ac_profile(ball: Ball, m: int, n_max: Optional[int] = None,
                name: Optional[str] = None) -> ConvexityProfile:
     """K(m,n) for every n up to n_max, measured on a prebuilt ball, with the
-    inside-path search capped at 4n + 64."""
+    inside-path search capped at 4n + 64.  Raises ValueError for m < 1."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     if n_max is None:
         n_max = ball.radius
     if n_max > ball.radius:

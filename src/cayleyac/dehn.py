@@ -218,7 +218,10 @@ def measure_quasi_constants(group, system: DehnSystem, ball, radius: int,
                             samples: int = 400, seed: int = 0) -> QuasiConstants:
     """Empirical (lambda, epsilon), fellow-traveler constants k(m) for
     m = 1, 2 and a thin-triangle delta, measured over sampled D-reduced words
-    of length up to ``radius`` with exact lengths from the ball."""
+    of length up to ``radius`` with exact lengths from the ball.  Raises
+    ValueError for a radius below 1, where every sampled word is empty."""
+    if radius < 1:
+        raise ValueError(f"quasi-constants radius must be >= 1, got {radius}")
     rng = random.Random(seed)
     words: list[Word] = []
     # exhaustive short words, then random longer ones

@@ -262,7 +262,10 @@ class Ball:
 
 
 def build_ball(group: GroupInterface, radius: int) -> Ball:
-    """Complete deduplicated ball of the given radius."""
+    """Complete deduplicated ball of the given radius; raises
+    RadiusUnavailable for a negative radius."""
+    if radius < 0:
+        raise RadiusUnavailable(f"ball radius {radius} is negative")
     ball = Ball(group, radius)
     images = [group.generator_images[name] for name in ball.gen_names]
     gweights = [group.generator_weight(name) for name in ball.gen_names]

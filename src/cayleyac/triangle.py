@@ -6,8 +6,13 @@ their matrices are I minus a row of the doubled Gram matrix, whose entries
 are 2, 0, -1 and -2cos(pi/k).  All of them lie in the ring Z[2cos(pi/N)],
 where N = lcm of the orders that contribute an irrational cosine, and the
 minimal polynomial of 2cos(pi/N) is monic, so arithmetic is exact integer
-arithmetic (int tuples modulo that polynomial).  Element equality and keys
-are exact matrix comparisons.
+arithmetic (int tuples modulo that polynomial).  A matrix product or
+inverse sums each entry's coefficient products unreduced and reduces each
+entry once.  Element equality and keys are exact matrix comparisons.
+
+The Dehn relator system is seeded with the short identity words, found by
+a depth-first walk over the Cayley graph of a ball (``Ball.graph``), which
+reads vertex ids instead of multiplying matrices.
 """
 
 from __future__ import annotations
@@ -123,17 +128,27 @@ class CosField:
         return tuple(-x for x in a)
 
     def mul(self, a, b):
+        return self.dot(((a, b),))
+
+    def dot(self, pairs):
+        """The sum of a*b over the (a, b) pairs: the coefficient products
+        are summed unreduced, then reduced once."""
+        prod = [0] * (2 * self.degree - 1)
+        for a, b in pairs:
+            for i, ca in enumerate(a):
+                if ca:
+                    for j, cb in enumerate(b):
+                        if cb:
+                            prod[i + j] += ca * cb
+        return self._reduce(prod)
+
+    def _reduce(self, prod: list) -> tuple:
+        """Reduce a coefficient list of length 2*degree - 1 (consumed)
+        modulo the minimal polynomial."""
         deg = self.degree
-        prod = [0] * (2 * deg - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        prod[i + j] += ca * cb
         for k in range(2 * deg - 2, deg - 1, -1):
             c = prod[k]
             if c:
-                prod[k] = 0
                 for i, t in enumerate(self._top):
                     prod[k - deg + i] += c * t
         return tuple(prod[:deg])
@@ -157,14 +172,10 @@ class CosField:
 
 
 def _mat_mul(field: CosField, A, B):
-    out = []
-    for i in range(3):
-        for j in range(3):
-            acc = field.zero()
-            for k in range(3):
-                acc = field.add(acc, field.mul(A[3 * i + k], B[3 * k + j]))
-            out.append(acc)
-    return tuple(out)
+    """The product of 3x3 matrices; each entry is reduced once."""
+    dot = field.dot
+    return tuple(dot(((A[i], B[j]), (A[i + 1], B[j + 3]), (A[i + 2], B[j + 6])))
+                 for i in (0, 3, 6) for j in (0, 1, 2))
 
 
 def _mat_identity(field: CosField):
@@ -172,38 +183,25 @@ def _mat_identity(field: CosField):
     return tuple(one if i % 4 == 0 else zero for i in range(9))
 
 
-def _mat_det(field: CosField, M):
-    def m(i, j):
-        return M[3 * i + j]
-
-    f = field
-    term = lambda a, b, c: f.mul(m(0, a), f.sub(f.mul(m(1, b), m(2, c)), f.mul(m(1, c), m(2, b))))
-    return f.add(f.sub(term(0, 1, 2), term(1, 0, 2)), term(2, 0, 1))
-
-
 def _mat_inverse(field: CosField, M):
-    """Adjugate divided by the determinant (determinant is +-1 here)."""
+    """Adjugate divided by the determinant (determinant is +-1 here).  Each
+    2x2 minor is reduced once, and the determinant is the cofactor
+    expansion along the first row."""
     f = field
-    det = _mat_det(field, M)
-    if det == f.one():
-        inv_det = 1
-    elif det == f.integer(-1):
-        inv_det = -1
-    else:
-        raise ValueError("matrix determinant is not a unit")
-
-    def m(i, j):
-        return M[3 * i + j]
-
+    neg = f.neg
+    # cof[3*i + j] is the (i, j) cofactor; the cyclic index order (i+1, i+2)
+    # and (j+1, j+2) carries the sign (-1)^(i+j)
     cof = []
     for i in range(3):
+        r0, r1 = 3 * ((i + 1) % 3), 3 * ((i + 2) % 3)
         for j in range(3):
-            r = [k for k in range(3) if k != i]
-            c = [k for k in range(3) if k != j]
-            minor = f.sub(f.mul(m(r[0], c[0]), m(r[1], c[1])),
-                          f.mul(m(r[0], c[1]), m(r[1], c[0])))
-            sign = 1 if (i + j) % 2 == 0 else -1
-            cof.append(f.scale(minor, sign * inv_det))
+            c0, c1 = (j + 1) % 3, (j + 2) % 3
+            cof.append(f.dot(((M[r0 + c0], M[r1 + c1]), (M[r0 + c1], neg(M[r1 + c0])))))
+    det = f.dot(((M[0], cof[0]), (M[1], cof[1]), (M[2], cof[2])))
+    if det == f.integer(-1):
+        cof = [neg(c) for c in cof]
+    elif det != f.one():
+        raise ValueError("matrix determinant is not a unit")
     # adjugate = transpose of cofactors
     return tuple(cof[3 * j + i] for i in range(3) for j in range(3))
 
@@ -299,38 +297,43 @@ class TriangleGroup(GroupInterface):
 
     def identity_words(self, scale: int):
         """All cyclically reduced nontrivial words of length <= scale that
-        evaluate to the identity, by exact enumeration (pruned with a ball
-        of radius scale // 2 + 1: a prefix must stay returnable)."""
+        evaluate to the identity, by exact enumeration: a depth-first walk
+        over the Cayley graph of the ball of radius scale // 2 + 1, pruned
+        where a prefix can no longer return to the identity.  The walk
+        reads vertex ids and multiplies nothing."""
         from .explorer import build_ball
 
-        alphabet = self.alphabet
-        images = self.generator_images
+        names = self.alphabet.names
         prune_radius = scale // 2 + 1
         ball = build_ball(self, prune_radius)
+        rows = ball.graph()
+        lengths = ball.lengths
+        size = len(ball)
+        inverse = ball.inverse_gens
         out = []
 
-        def extend(word, elem):
-            if word and elem == self._identity:
-                first, last = word[0], word[-1]
-                if alphabet.inverse(last) != first:
-                    out.append(tuple(word))
+        def extend(word, v):
+            # vertex 0 is the identity
+            if word and v == 0 and inverse[word[-1]] != word[0]:
+                out.append(tuple(names[g] for g in word))
             if len(word) == scale:
                 return
             remaining = scale - len(word)
-            if remaining <= prune_radius:
-                try:
-                    if ball.length_of(elem) > remaining:
-                        return
-                except KeyError:
-                    return
-            for name in alphabet.names:
-                if word and alphabet.inverse(word[-1]) == name:
+            # Before the prune region a prefix has length < prune_radius,
+            # so its vertex always has a full row.  Inside it, a halo id
+            # (>= size) lies outside the ball and cannot return in time.
+            if remaining <= prune_radius and (v >= size or lengths[v] > remaining):
+                return
+            row = rows[v]
+            back = inverse[word[-1]] if word else None
+            for g, child in enumerate(row):
+                if g == back:
                     continue
-                word.append(name)
-                extend(word, self.multiply(elem, images[name]))
+                word.append(g)
+                extend(word, child)
                 word.pop()
 
-        extend([], self._identity)
+        extend([], 0)
         return out
 
     @cached_property

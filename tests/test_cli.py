@@ -180,3 +180,23 @@ def test_unknown_group_exit_code(tmp_path, capsys):
     assert run_command(["ball", "--group", group_file, "--radius", "1"]) == 1
     record = json.loads(capsys.readouterr().out)
     assert record["error"] == "UnknownKind"
+
+
+def test_non_positive_sizes_are_error_records(tmp_path, capsys):
+    nil = _write(tmp_path, "n1.group", "kind=heisenberg e=1 gens=plain")
+    out = os.path.join(tmp_path, "prof.csv")
+    assert run_command(["ball", "--group", nil, "--radius", "-1"]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == "RadiusUnavailable"
+    for m in ("0", "-1"):
+        assert run_command(["ac-check", "--group", nil, "--m", m,
+                            "--radius", "3", "--out", out]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert (record["error"], record["field"]) == ("InvalidValue", "m")
+    assert not os.path.exists(out)
+    for radius in ("0", "-1"):
+        ext = _write(tmp_path, "ext.group",
+                     f"kind=central_extension charges=[1] constants_radius={radius}")
+        assert run_command(["ball", "--group", ext, "--radius", "2"]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert (record["error"], record["field"]) == ("InvalidValue", "constants_radius")

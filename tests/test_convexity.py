@@ -18,6 +18,9 @@ def z2_ball():
 def test_lattice_profile_bounded(z2_ball):
     prof = ac_profile(z2_ball, 2, 10, name="z2")
     assert all(k <= 4 for k in prof.k_values() if k >= 0)
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            ac_profile(z2_ball, m, 10)
     assert prof.bounded_verdict()
     assert all(r.absent_under_cap == 0 for r in prof.rows)
 

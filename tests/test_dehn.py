@@ -117,6 +117,10 @@ def test_free_group_constants():
     system = DehnSystem(free.alphabet, ())
     qc = measure_quasi_constants(free, system, ball, 6, samples=80, seed=3)
     assert qc.lam == 1 and qc.eps == 0
+    # every sampled word would be empty: rejected instead of sampling forever
+    for radius in (0, -1):
+        with pytest.raises(ValueError):
+            measure_quasi_constants(free, system, ball, radius, samples=80, seed=3)
 
 
 def test_surface_constants_stable(surface2, surface_ball5, surface_quasi):

@@ -31,6 +31,8 @@ def test_free_group_sphere_formula():
 def test_single_element_ball():
     b = build_ball(IntegerLattice(2), 0)
     assert len(b) == 1 and b.lengths == [0]
+    with pytest.raises(RadiusUnavailable):
+        build_ball(IntegerLattice(2), -1)
 
 
 def test_nil_ball_vs_word_enumeration(nil_xy):
