@@ -134,6 +134,13 @@ def build_group(spec: GroupSpecFile):
             raise _err("InvalidValue", f"{key} must be an integer", key)
         return value
 
+    def optional_int(key, default, least=None):
+        value = params.get(key, default)
+        if not isinstance(value, int) or (least is not None and value < least):
+            rule = "an integer" if least is None else f"an integer >= {least}"
+            raise _err("InvalidValue", f"{key} must be {rule}", key)
+        return value
+
     if kind in ("heisenberg", "heisenberg_hex"):
         from .nil import NilGenSet, NilGroup
 
@@ -187,16 +194,13 @@ def build_group(spec: GroupSpecFile):
         from .extensions import CentralExtension
         from .surface import SurfaceGroup
 
-        genus = params.get("base_genus", 2)
+        genus = optional_int("base_genus", 2, least=2)
         charges = need("charges", list)
         if not isinstance(charges, list):
             raise _err("InvalidValue", "charges must be a list", "charges")
-        radius = params.get("constants_radius", 4)
-        if not isinstance(radius, int) or radius < 1:
-            raise _err("InvalidValue", "constants_radius must be an integer >= 1",
-                       "constants_radius")
-        budget = params.get("budget", 10 ** 6)
-        seed = params.get("constants_seed", 7)
+        radius = optional_int("constants_radius", 4, least=1)
+        budget = optional_int("budget", 10 ** 6, least=0)
+        seed = optional_int("constants_seed", 7)
         base = SurfaceGroup(genus)
         ball = build_ball(base, radius)
         quasi = measure_quasi_constants(base, base.dehn, ball, radius,

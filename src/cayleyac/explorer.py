@@ -12,7 +12,8 @@ an element goes through ``Ball.locate``.
 Sphere pairs, inside paths and witness checks read one integer-indexed
 Cayley graph per ball (``Ball.graph``): the ball's vertices plus a halo of
 the spheres just outside it, with each group product computed once.  Pairs
-are found by index walks over that graph, with no multiply per pair.
+are found by index walks over that graph, with no multiply per pair; the
+length-only walk also marks the pairs joined by a geodesic inside B(n).
 """
 
 from __future__ import annotations
@@ -321,6 +322,14 @@ def cached_ball(group: GroupInterface, radius: int, cache_dir: Optional[str] = N
     return ball
 
 
+def _pair_graph(ball: Ball, n: int, m: int) -> list[tuple[int, ...]]:
+    """The Cayley graph deep enough to hold every walk of length <= m
+    between two sphere-n vertices (see ``sphere_pairs``)."""
+    if n > ball.radius:
+        raise RadiusUnavailable(f"sphere {n} of a radius-{ball.radius} ball")
+    return ball.graph(max(0, n + (m + 1) // 2 - 1 - ball.radius))
+
+
 def sphere_pairs(ball: Ball, n: int, m: int) -> Iterator[tuple[int, int, Word]]:
     """Unordered pairs of sphere-n elements at distance <= m, each exactly
     once as (i, j, q) with i < j, where q is the shortlex-least word with
@@ -334,9 +343,7 @@ def sphere_pairs(ball: Ball, n: int, m: int) -> Iterator[tuple[int, int, Word]]:
     one.  A walk of length <= m between two sphere-n vertices stays in
     B(n + floor(m/2)), and each of its edges touches B(n + ceil(m/2) - 1),
     which fixes how far past the ball the graph must reach."""
-    if n > ball.radius:
-        raise RadiusUnavailable(f"sphere {n} of a radius-{ball.radius} ball")
-    rows = ball.graph(max(0, n + (m + 1) // 2 - 1 - ball.radius))
+    rows = _pair_graph(ball, n, m)
     names = ball.gen_names
     stop = ball.sphere(n).stop
     for i in ball.sphere(n):
@@ -354,6 +361,44 @@ def sphere_pairs(ball: Ball, n: int, m: int) -> Iterator[tuple[int, int, Word]]:
                     if i < v < stop:
                         yield (i, v, q)
             level = nxt
+
+
+def sphere_pair_lengths(ball: Ball, n: int, m: int) -> Iterator[tuple[int, int, int, bool]]:
+    """The pairs of ``sphere_pairs``, by length only: (i, j, d, inside)
+    with d = d(g_i, g_j), and inside true when some path of length d from
+    i to j has every vertex in B(n).  Pairs come in order of i, then of d.
+
+    One breadth-first walk of depth m from each g_i over the same graph
+    builds no words.  Each level is split into the vertices that end a
+    geodesic from g_i inside B(n) (inside) and the rest (outside).  The
+    inside vertices are expanded first: a new vertex they reach is inside
+    when it lies in B(n).  A vertex first reached from an outside vertex
+    has no geodesic from an inside one, so it is outside too."""
+    rows = _pair_graph(ball, n, m)
+    stop = ball.sphere(n).stop
+    for i in ball.sphere(n):
+        seen = {i, UNKNOWN}  # UNKNOWN is below stop but never a ball vertex
+        inside, outside = [i], []
+        for d in range(1, m + 1):
+            next_inside, next_outside = [], []
+            for u in inside:
+                for v in rows[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        if v < stop:
+                            next_inside.append(v)
+                            if v > i:
+                                yield (i, v, d, True)
+                        else:
+                            next_outside.append(v)
+            for u in outside:
+                for v in rows[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        next_outside.append(v)
+                        if i < v < stop:
+                            yield (i, v, d, False)
+            inside, outside = next_inside, next_outside
 
 
 def inside_path(ball: Ball, i: int, j: int, n: int,

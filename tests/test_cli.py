@@ -200,3 +200,14 @@ def test_non_positive_sizes_are_error_records(tmp_path, capsys):
         assert run_command(["ball", "--group", ext, "--radius", "2"]) == 1
         record = json.loads(capsys.readouterr().out)
         assert (record["error"], record["field"]) == ("InvalidValue", "constants_radius")
+
+
+def test_central_extension_fields_are_error_records(tmp_path, capsys):
+    for entry, fld in (("base_genus=x", "base_genus"), ("base_genus=1", "base_genus"),
+                       ("constants_seed=x", "constants_seed"),
+                       ("constants_seed=[1]", "constants_seed"),
+                       ("budget=x", "budget"), ("budget=-1", "budget")):
+        ext = _write(tmp_path, "ext.group", f"kind=central_extension charges=[1] {entry}")
+        assert run_command(["ball", "--group", ext, "--radius", "1"]) == 1, entry
+        record = json.loads(capsys.readouterr().out)
+        assert (record["error"], record["field"]) == ("InvalidValue", fld), entry

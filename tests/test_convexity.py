@@ -1,13 +1,16 @@
 import pytest
 
+from cayleyac import convexity
 from cayleyac.convexity import (ConstructionEscapedBall, ConvexityProfile,
-                                ac2_consistency_report, ac_profile,
+                                ProfileRow, ac2_consistency_report, ac_profile,
                                 compare_witness, length_comparison_check,
                                 transfer_verdict)
-from cayleyac.explorer import build_ball
+from cayleyac.explorer import build_ball, inside_path, sphere_pairs
+from cayleyac.finite_ext import FiniteNilExtension, klein_bottle_config
 from cayleyac.groups import IntegerLattice
 from cayleyac.nil import NilGenSet, NilGroup
 from cayleyac.sol import SolLattice
+from cayleyac.surface import SurfaceGroup
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +113,55 @@ def test_compare_witness_accepts_inside_paths(z2_ball):
     report = compare_witness(z2_ball, 4, 2, optimum)
     assert report["pairs"] > 0
     assert report["max_constructive"] == report["max_optimal"] == 2
+
+
+def _searched_rows(ball, m):
+    """The profile rows with the inside-path search run on every pair."""
+    rows = []
+    for n in range(ball.radius + 1):
+        pairs, k_max, total, absent = 0, -1, 0, 0
+        for i, j, _q in sphere_pairs(ball, n, m):
+            pairs += 1
+            path = inside_path(ball, i, j, n, cap=4 * n + 64)
+            if path is None:
+                absent += 1
+            else:
+                k_max = max(k_max, len(path))
+                total += len(path)
+        rows.append(ProfileRow(n=n, pairs=pairs, k_max=k_max,
+                               total_len=total, absent_under_cap=absent))
+    return rows
+
+
+def _nil_hex():
+    return NilGroup(1, NilGenSet("hexagonal", include_z=False))
+
+
+def _sol():
+    return SolLattice(((2, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("make, radius, ms", [
+    (_nil_hex, 8, (2, 3)),
+    (_sol, 7, (2, 3)),
+    (lambda: FiniteNilExtension(klein_bottle_config()), 4, (2,)),
+    (lambda: SurfaceGroup(2), 4, (2,)),
+    (lambda: IntegerLattice(2), 8, (4,)),
+], ids=["nil_hex", "sol", "klein", "surface2", "z2"])
+def test_profile_equals_search_on_every_pair(make, radius, ms):
+    """Pairs decided by the walk give the rows the search gives."""
+    ball = build_ball(make(), radius)
+    for m in ms:
+        assert ac_profile(ball, m).rows == _searched_rows(ball, m), m
+
+
+@pytest.mark.parametrize("make, radius, searches", [
+    (_nil_hex, 10, 6204), (_sol, 8, 5492),
+], ids=["nil_hex", "sol"])
+def test_profile_searches_only_undecided_pairs(monkeypatch, make, radius, searches):
+    calls = []
+    search = convexity.inside_path
+    monkeypatch.setattr(convexity, "inside_path",
+                        lambda *args, **kw: calls.append(1) or search(*args, **kw))
+    ac_profile(build_ball(make(), radius), 2)
+    assert len(calls) == searches

@@ -5,7 +5,8 @@ import pytest
 
 from cayleyac.convexity import ac_profile
 from cayleyac.explorer import (Ball, ElementAbsent, RadiusUnavailable,
-                               build_ball, cached_ball, inside_path, sphere_pairs)
+                               build_ball, cached_ball, inside_path,
+                               sphere_pair_lengths, sphere_pairs)
 from cayleyac.extensions import CentralExtension
 from cayleyac.groups import FreeGroup, IntegerLattice
 from cayleyac.nil import NilGenSet, NilGroup
@@ -146,6 +147,33 @@ def test_graph_walks_multiply_nothing(make):
         for i, j, _q in pairs:
             assert inside_path(ball, i, j, n) is not None
     assert pairs and not calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: NilGroup(1, NilGenSet("hexagonal", include_z=False)),
+    lambda: SolLattice(((2, 1), (1, 1))), lambda: SurfaceGroup(2), lambda: _central_extension(),
+], ids=["nil_hex", "sol", "surface2", "central"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_pair_lengths_agree_with_pairs_and_search(make, m):
+    """The length-only walk finds the pairs of sphere_pairs at the lengths
+    of their connectors, flags exactly the pairs whose inside distance is
+    their distance, and multiplies nothing once the graph is built."""
+    group = make()
+    ball = build_ball(group, 3)
+    ball.graph((m + 1) // 2 - 1)  # the depth the walks need at n = radius
+    calls = []
+    multiply = group.multiply
+    group.multiply = lambda u, v: calls.append(1) or multiply(u, v)
+    walks = [list(sphere_pair_lengths(ball, n, m)) for n in range(ball.radius + 1)]
+    assert not calls
+    group.multiply = multiply
+    for n, walk in enumerate(walks):
+        assert ({(i, j, d) for i, j, d, _inside in walk}
+                == {(i, j, len(q)) for i, j, q in sphere_pairs(ball, n, m)})
+        assert len(walk) == len({(i, j) for i, j, _d, _inside in walk})
+        for i, j, d, inside in walk:
+            assert inside == (len(inside_path(ball, i, j, n)) == d)
+    assert any(inside for walk in walks for *_, inside in walk)
 
 
 @pytest.mark.parametrize("make, radius, digest", [
