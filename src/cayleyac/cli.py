@@ -126,13 +126,10 @@ def build_group(spec: GroupSpecFile):
     kind = spec.kind
     params = dict(spec.params)
 
-    def need(key, typ=int):
+    def need(key, typ=int, least=None):
         if key not in params:
             raise _err("MissingField", f"{kind} needs {key}=", key)
-        value = params[key]
-        if typ is int and not isinstance(value, int):
-            raise _err("InvalidValue", f"{key} must be an integer", key)
-        return value
+        return optional_int(key, None, least) if typ is int else params[key]
 
     def optional_int(key, default, least=None):
         value = params.get(key, default)
@@ -144,9 +141,7 @@ def build_group(spec: GroupSpecFile):
     if kind in ("heisenberg", "heisenberg_hex"):
         from .nil import NilGenSet, NilGroup
 
-        e = need("e")
-        if e < 1:
-            raise _err("InvalidValue", "e must be >= 1", "e")
+        e = need("e", least=1)
         gens = params.get("gens", "full")
         if gens not in ("full", "plain"):
             raise _err("InvalidValue", "gens must be full or plain", "gens")
@@ -169,17 +164,17 @@ def build_group(spec: GroupSpecFile):
     if kind == "lattice":
         from .groups import IntegerLattice
 
-        return IntegerLattice(need("rank"))
+        return IntegerLattice(need("rank", least=1))
 
     if kind == "free":
         from .groups import FreeGroup
 
-        return FreeGroup(need("rank"))
+        return FreeGroup(need("rank", least=1))
 
     if kind == "surface":
         from .surface import SurfaceGroup
 
-        return SurfaceGroup(need("genus"))
+        return SurfaceGroup(need("genus", least=2))
 
     if kind == "triangle":
         from .triangle import TriangleGroup
@@ -196,8 +191,8 @@ def build_group(spec: GroupSpecFile):
 
         genus = optional_int("base_genus", 2, least=2)
         charges = need("charges", list)
-        if not isinstance(charges, list):
-            raise _err("InvalidValue", "charges must be a list", "charges")
+        if not isinstance(charges, list) or not all(isinstance(c, int) for c in charges):
+            raise _err("InvalidValue", "charges must be an integer list", "charges")
         radius = optional_int("constants_radius", 4, least=1)
         budget = optional_int("budget", 10 ** 6, least=0)
         seed = optional_int("constants_seed", 7)

@@ -146,7 +146,6 @@ def ac_profile(ball: Ball, m: int, n_max: Optional[int] = None,
         m=m,
         cap_rule="4n+64",
     )
-    ball.graph()  # products in ball order first: word groups register in call order
     for n in range(n_max + 1):
         pairs, k_max, total, absent = 0, -1, 0, 0
         cap = 4 * n + 64
@@ -234,8 +233,8 @@ def compare_witness(ball: Ball, n: int, m: int,
     the inside optimum and an optional declared bound.  The optimum is
     len(q) when the connector q of ``sphere_pairs`` stays inside B(n), and
     the bidirectional inside-path search's length otherwise."""
-    rows = ball.graph()
     stop = ball.sphere(n).stop  # ids below it are exactly B(n)
+    rows = ball.graph(n - ball.radius)
     gen_index = {name: gi for gi, name in enumerate(ball.gen_names)}
     report = {"n": n, "pairs": 0, "max_constructive": 0, "max_optimal": 0,
               "bound": bound, "bound_ok": True}

@@ -10,10 +10,11 @@ for bit across runs.  A ball indexes its elements by value; every lookup of
 an element goes through ``Ball.locate``.
 
 Sphere pairs, inside paths and witness checks read one integer-indexed
-Cayley graph per ball (``Ball.graph``): the ball's vertices plus a halo of
-the spheres just outside it, with each group product computed once.  Pairs
-are found by index walks over that graph, with no multiply per pair; the
-length-only walk also marks the pairs joined by a geodesic inside B(n).
+Cayley graph per ball (``Ball.graph``), grown a sphere at a time with each
+edge multiplied once, to full rows of B(n) for the search at n and of
+B(n + ceil(m/2) - 1) for the pair walks.  Pairs are found by index walks
+over that graph, with no multiply per pair; the length-only walk also marks
+the pairs joined by a geodesic inside B(n).
 """
 
 from __future__ import annotations
@@ -60,12 +61,11 @@ class Ball:
         alphabet = group.alphabet
         self.inverse_gens = [alphabet.index(alphabet.inverse(name))
                              for name in self.gen_names]
-        # the Cayley graph, built by ``graph`` to the depth it was asked
-        # for; _halo holds the elements of the outermost halo sphere, the
-        # only ones a deeper graph multiplies
-        self._rows: Optional[list[tuple[int, ...]]] = None
-        self._depth = 0
-        self._halo: list = []
+        # the Cayley graph grown by ``graph``: rows complete for
+        # B(_complete), and the outermost halo sphere's element -> id
+        self._rows: list[list[int]] = []
+        self._complete = -1
+        self._halo: dict = {}
 
     # -- queries ------------------------------------------------------------
 
@@ -134,46 +134,47 @@ class Ball:
             idx = parent
         return tuple(reversed(letters))
 
-    def graph(self, depth: int = 0) -> list[tuple[int, ...]]:
+    def graph(self, depth: int = 0) -> list[list[int]]:
         """The Cayley graph as rows of neighbour ids, one entry per
         generator: rows[v][g] is the id of (element v) * (generator g).
 
-        Ids below len(self) are ball indices.  Halo ids follow them and
-        number the spheres radius+1 .. radius+depth+1, sphere after sphere.
-        Every vertex of B(radius + depth) has a full row.  A vertex of the
-        outermost halo sphere knows only its edges back into the sphere
-        below it and holds UNKNOWN in the other entries.  The graph is
-        built on the first call and extended by later calls that ask for
-        more depth; each product is computed once."""
-        if self._rows is None:
-            self._rows = [(UNKNOWN,) * len(self.gen_names)] * len(self)
-            self._complete_rows(self.elements, self.index)
-        while self._depth < depth:
-            first = len(self._rows) - len(self._halo)
-            self._complete_rows(self._halo, {elem: first + k
-                                             for k, elem in enumerate(self._halo)})
-            self._depth += 1
+        Ids below len(self) are ball indices; halo ids follow them, sphere
+        after sphere.  With r = radius + depth >= 0, every vertex of B(r)
+        has a full row, each vertex of sphere r+1 holds its edges back into
+        B(r), and all other entries are UNKNOWN (rows past sphere r+1 may
+        be missing).  A consumer that reads B(r) asks for r - radius.  The
+        graph grows one sphere at a time; each edge is multiplied once."""
+        while self._complete < self.radius + depth:
+            self._grow()
         return self._rows
 
-    def _complete_rows(self, elements: list, known: dict) -> None:
-        """Fill in the UNKNOWN entries in the rows of the last
-        len(elements) vertices, whose elements are given, looking each
-        product up in ``known`` as given and, on a miss, resolved; only a
-        miss can register a new representative.  A product not found there
-        lies in the next sphere out: it becomes a new halo vertex whose row
-        holds its edges back to the vertices given.  Products are taken in
-        vertex order x generator order, the order ``build_ball`` uses, so
-        word groups register new elements in that order."""
+    def _grow(self) -> None:
+        """Complete the rows of the next sphere.  Each product is looked up
+        as given and, on a miss, resolved: in the ball's index inside the
+        ball, in the outermost halo sphere past it; only a miss can register
+        a new representative.  A product found in neither is a new vertex of
+        the sphere beyond.  Each product also fills the edge back, so a
+        filled entry is never multiplied.  Products come in vertex order x
+        generator order, as in ``build_ball``, so word groups register new
+        elements, all outside the ball, in that order."""
         group = self.group
         images = [group.generator_images[name] for name in self.gen_names]
         inverse = self.inverse_gens
         rows = self._rows
-        start = len(rows)  # the first new halo id
-        first = start - len(elements)
-        fresh: dict = {}  # new element -> halo id; dropped once ids are given
-        fresh_rows: list[list[int]] = []
-        for v, elem in enumerate(elements, first):
-            row = list(rows[v])
+        s = self._complete + 1
+        if s <= self.radius:
+            ids = self.sphere(s)
+            vertices = zip(ids, self.elements[ids.start:ids.stop])
+            known = self.index
+            # rows up to the next ball sphere, which takes the back edges
+            top = self.sphere(min(s + 1, self.radius)).stop
+            rows.extend([UNKNOWN] * len(images) for _ in range(len(rows), top))
+        else:
+            known = self._halo
+            vertices = ((v, elem) for elem, v in known.items())
+        fresh: dict = {}  # new element -> id
+        for v, elem in vertices:
+            row = rows[v]
             for gi, img in enumerate(images):
                 if row[gi] != UNKNOWN:
                     continue
@@ -185,13 +186,12 @@ class Ball:
                 if j is None:
                     j = fresh.get(child)
                     if j is None:
-                        j = fresh[child] = start + len(fresh)
-                        fresh_rows.append([UNKNOWN] * len(images))
-                    fresh_rows[j - start][inverse[gi]] = v
+                        j = fresh[child] = len(rows)
+                        rows.append([UNKNOWN] * len(images))
                 row[gi] = j
-            rows[v] = tuple(row)
-        rows.extend(tuple(row) for row in fresh_rows)
-        self._halo = list(fresh)
+                rows[j][inverse[gi]] = v
+        self._halo = fresh
+        self._complete = s
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """adj[i] = [(generator index, target index)] restricted to the
@@ -322,12 +322,12 @@ def cached_ball(group: GroupInterface, radius: int, cache_dir: Optional[str] = N
     return ball
 
 
-def _pair_graph(ball: Ball, n: int, m: int) -> list[tuple[int, ...]]:
-    """The Cayley graph deep enough to hold every walk of length <= m
-    between two sphere-n vertices (see ``sphere_pairs``)."""
+def _pair_graph(ball: Ball, n: int, m: int) -> list[list[int]]:
+    """The Cayley graph with the full rows of B(n + ceil(m/2) - 1) that
+    every walk of length <= m between sphere-n vertices reads."""
     if n > ball.radius:
         raise RadiusUnavailable(f"sphere {n} of a radius-{ball.radius} ball")
-    return ball.graph(max(0, n + (m + 1) // 2 - 1 - ball.radius))
+    return ball.graph(n + (m + 1) // 2 - 1 - ball.radius)
 
 
 def sphere_pairs(ball: Ball, n: int, m: int) -> Iterator[tuple[int, int, Word]]:
@@ -342,7 +342,7 @@ def sphere_pairs(ball: Ball, n: int, m: int) -> Iterator[tuple[int, int, Word]]:
     shortlex-least, so the first word that reaches a vertex is its least
     one.  A walk of length <= m between two sphere-n vertices stays in
     B(n + floor(m/2)), and each of its edges touches B(n + ceil(m/2) - 1),
-    which fixes how far past the ball the graph must reach."""
+    the ball whose full rows the walks ask the graph for."""
     rows = _pair_graph(ball, n, m)
     names = ball.gen_names
     stop = ball.sphere(n).stop
@@ -413,7 +413,7 @@ def inside_path(ball: Ball, i: int, j: int, n: int,
         cap = 4 * n + 64
     if i == j:
         return ()
-    rows = ball.graph()
+    rows = ball.graph(n - ball.radius)
     stop = ball.sphere(n).stop  # ids below it are exactly B(n)
     names = ball.gen_names
     inv_gen = ball.inverse_gens

@@ -200,13 +200,20 @@ def test_non_positive_sizes_are_error_records(tmp_path, capsys):
         assert run_command(["ball", "--group", ext, "--radius", "2"]) == 1
         record = json.loads(capsys.readouterr().out)
         assert (record["error"], record["field"]) == ("InvalidValue", "constants_radius")
+    for text, fld in (("kind=surface genus=1", "genus"), ("kind=lattice rank=0", "rank"),
+                      ("kind=free rank=-1", "rank")):
+        path = _write(tmp_path, "size.group", text)
+        assert run_command(["ball", "--group", path, "--radius", "2"]) == 1, text
+        record = json.loads(capsys.readouterr().out)
+        assert (record["error"], record["field"]) == ("InvalidValue", fld), text
 
 
 def test_central_extension_fields_are_error_records(tmp_path, capsys):
     for entry, fld in (("base_genus=x", "base_genus"), ("base_genus=1", "base_genus"),
                        ("constants_seed=x", "constants_seed"),
                        ("constants_seed=[1]", "constants_seed"),
-                       ("budget=x", "budget"), ("budget=-1", "budget")):
+                       ("budget=x", "budget"), ("budget=-1", "budget"),
+                       ('charges=["a"]', "charges"), ("charges=[1.5]", "charges")):
         ext = _write(tmp_path, "ext.group", f"kind=central_extension charges=[1] {entry}")
         assert run_command(["ball", "--group", ext, "--radius", "1"]) == 1, entry
         record = json.loads(capsys.readouterr().out)

@@ -3,8 +3,8 @@ import itertools
 
 import pytest
 
-from cayleyac.convexity import ac_profile
-from cayleyac.explorer import (Ball, ElementAbsent, RadiusUnavailable,
+from cayleyac.convexity import ac_profile, compare_witness
+from cayleyac.explorer import (UNKNOWN, Ball, ElementAbsent, RadiusUnavailable,
                                build_ball, cached_ball, inside_path,
                                sphere_pair_lengths, sphere_pairs)
 from cayleyac.extensions import CentralExtension
@@ -174,6 +174,41 @@ def test_pair_lengths_agree_with_pairs_and_search(make, m):
         for i, j, d, inside in walk:
             assert inside == (len(inside_path(ball, i, j, n)) == d)
     assert any(inside for walk in walks for *_, inside in walk)
+
+
+@pytest.mark.parametrize("make, radius", [
+    (lambda: NilGroup(1, NilGenSet("hexagonal", include_z=False)), 5),
+    (lambda: SolLattice(((2, 1), (1, 1))), 5), (lambda: SurfaceGroup(2), 4),
+    (lambda: _central_extension(), 3),
+], ids=["nil_hex", "sol", "surface2", "central"])
+def test_graph_grows_sphere_by_sphere(make, radius):
+    """Growing the graph one depth at a time gives the rows of a one-shot
+    build, halo ids included.  After graph(r - radius) every row of B(r) is
+    full, and the rows past it hold only edges back into B(r).  Consumers
+    stop a walk only at v >= stop, and UNKNOWN (-1) is below every stop."""
+    ball = build_ball(make(), radius)
+    for depth in range(-radius, 2):
+        # B(radius + 1) is the ball plus the halo sphere graph(0) made
+        full = ball.sphere(radius + depth).stop if depth <= 0 else len(rows)
+        rows = ball.graph(depth)
+        assert all(UNKNOWN not in row for row in rows[:full])
+        assert all(u < full for row in rows[full:] for u in row)
+    assert rows == build_ball(make(), radius).graph(1)
+
+
+def test_witness_check_multiplies_only_the_rows_it_reads():
+    """compare_witness at n <= 3 on the central B(5) multiplies at most the
+    products of B(3), not the rows of the whole ball and its halo."""
+    group = _central_extension()
+    ball = build_ball(group, 5)
+    calls = []
+    multiply = group.multiply
+    group.multiply = lambda u, v: calls.append(1) or multiply(u, v)
+    for n in (1, 2, 3):
+        report = compare_witness(ball, n, 2, lambda i, j, q: inside_path(ball, i, j, n))
+        assert report["pairs"] > 0
+    assert ball.sphere(3).stop == 607
+    assert len(calls) <= 607 * len(ball.gen_names)
 
 
 @pytest.mark.parametrize("make, radius, digest", [
