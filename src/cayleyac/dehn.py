@@ -1,13 +1,21 @@
 """Dehn's-algorithm machinery: relator systems closed under inversion and
 cyclic permutation, greedy more-than-half reduction, and empirical
-measurement of quasigeodesic and fellow-traveler constants."""
+measurement of quasigeodesic and fellow-traveler constants.
+
+Each reduction step replaces the longest, then leftmost, more-than-half
+relator prefix of the word.  Dehn's algorithm is local: a caller that
+passes ``split=k`` states that word[:k] and word[k:] are each D-reduced, so
+every match crosses the junction.  The loop then cancels freely at the
+junction only and scans only the starts within half a relator of the spliced
+region.  The replacements, and so the result, are those of a scan of the
+whole word, which is what runs without a split."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .words import Alphabet, Word, free_reduce, word_inverse
 
@@ -33,21 +41,22 @@ class DehnSystem:
                 raise EmptyRelator("empty relator")
         self._trie = self._build_trie()
         self.max_relator_len = max((len(r) for r in self.relators), default=0)
+        self._inverse = {name: alphabet.inverse(name) for name in alphabet.names}
 
     def _build_trie(self):
         # node: dict letter -> node, with "" slot holding the best
-        # (replacement, consumed, relator rank) at this depth
+        # (replacement, consumed, relator rank) at this depth.  Ranks
+        # ascend, so the first relator to reach a node holds it.
         root: dict = {}
         for rank, rel in enumerate(self.relators):
             half = len(rel) // 2
+            inverse = word_inverse(rel, self.alphabet)
             node = root
             for depth, letter in enumerate(rel, start=1):
                 node = node.setdefault(letter, {})
-                if depth > half:
-                    replacement = word_inverse(rel[depth:], self.alphabet)
-                    best = node.get("")
-                    if best is None or rank < best[2]:
-                        node[""] = (replacement, depth, rank)
+                if depth > half and "" not in node:
+                    # the inverse of rel[depth:] is a prefix of rel's inverse
+                    node[""] = (inverse[:len(rel) - depth], depth, rank)
         return root
 
     def longest_match(self, word: Sequence[str], start: int):
@@ -63,14 +72,14 @@ class DehnSystem:
                 best = hit
         return best
 
-    def scan(self, word: Sequence[str]):
-        """Leftmost-longest match over the whole word: (position, replacement,
-        consumed) or None."""
+    def scan(self, word: Sequence[str], lo: int = 0, hi: Optional[int] = None):
+        """Leftmost-longest match starting in word[lo:hi] (the whole word by
+        default): (position, replacement, consumed, relator rank) or None."""
         best = None
-        for start in range(len(word)):
+        for start in range(lo, len(word) if hi is None else hi):
             hit = self.longest_match(word, start)
             if hit is not None and (best is None or hit[1] > best[2]):
-                best = (start, hit[0], hit[1])
+                best = (start, hit[0], hit[1], hit[2])
         return best
 
 
@@ -81,9 +90,9 @@ def close_dehn(relators: Sequence[Word], alphabet: Alphabet) -> DehnSystem:
         rel = free_reduce(rel, alphabet)
         if not rel:
             raise EmptyRelator("relator freely reduces to the empty word")
-        for rot in _rotations(rel):
-            closed.add(rot)
-            closed.add(word_inverse(rot, alphabet))
+        # the inverses of the rotations are the rotations of the inverse
+        closed.update(_rotations(rel))
+        closed.update(_rotations(word_inverse(rel, alphabet)))
     return DehnSystem(alphabet, sorted(closed))
 
 
@@ -105,40 +114,85 @@ def close_dehn_with_charges(base: Mapping[Word, tuple[int, ...]],
     return system, charges
 
 
-def d_reduce(word: Sequence[str], system: DehnSystem) -> Word:
+def _reduce(word: Sequence[str], system: DehnSystem,
+            split: Optional[int]) -> tuple[Word, list[int]]:
+    """The greedy reduction loop behind ``d_reduce`` and
+    ``d_reduce_with_charges``: the reduced word, and the ranks of the
+    relators whose more-than-half prefixes it replaced, in order.
+
+    The word is kept as P + X + S with P and S D-reduced.  A match cannot
+    lie inside P or S, and its part in P is at most half of its relator, so
+    it starts in X or in the last max_relator_len // 2 letters of P; only
+    those starts are scanned.  Without a split X is the whole word.  Each
+    step picks the leftmost of the longest matches of the whole word, as a
+    scan of every start would."""
+    inverse = system._inverse
+    if split is None:
+        current = free_reduce(word, system.alphabet)
+        p, q = 0, len(current)
+    else:
+        # both factors are freely reduced: cancel at the junction only
+        current = tuple(word)
+        cut = 0
+        while (cut < split and split + cut < len(current)
+               and current[split - 1 - cut] == inverse[current[split + cut]]):
+            cut += 1
+        if cut:
+            current = current[:split - cut] + current[split + cut:]
+        p = q = split - cut
+    reach = system.max_relator_len // 2
+    ranks: list[int] = []
+    while True:
+        hit = system.scan(current, max(0, p - reach), q)
+        if hit is None:
+            return current, ranks
+        start, replacement, consumed, rank = hit
+        ranks.append(rank)
+        # splice, then free-reduce between the untouched D-reduced prefix
+        # current[:keep] and suffix current[tail:]
+        end = start + consumed
+        keep = min(start, p)
+        tail = max(end, q)
+        stack = list(current[:keep])
+        low = keep
+        for letter in current[keep:start] + replacement + current[end:tail]:
+            if stack and stack[-1] == inverse[letter]:
+                stack.pop()
+                low = min(low, len(stack))
+            else:
+                stack.append(letter)
+        suffix = current[tail:]
+        cut = 0
+        while cut < len(suffix) and stack and stack[-1] == inverse[suffix[cut]]:
+            stack.pop()
+            cut += 1
+        # current[:low] is untouched; letters pushed after a cut into the
+        # prefix are new, so the D-reduced prefix ends at the cut
+        p = min(low, len(stack))
+        q = len(stack)
+        current = tuple(stack) + suffix[cut:]
+
+
+def d_reduce(word: Sequence[str], system: DehnSystem, split: Optional[int] = None) -> Word:
     """Freely reduce and replace more-than-half relator subwords by the
     inverse of the remainder until neither applies.  Never longer than the
-    input; evaluation unchanged."""
-    current = free_reduce(word, system.alphabet)
-    while True:
-        hit = system.scan(current)
-        if hit is None:
-            return current
-        start, replacement, consumed = hit
-        current = free_reduce(
-            current[:start] + replacement + current[start + consumed:], system.alphabet
-        )
+    input; evaluation unchanged.  ``split=k`` states that word[:k] and
+    word[k:] are each D-reduced; the result is the same, found by looking
+    only where a match can cross the junction."""
+    return _reduce(word, system, split)[0]
 
 
 def d_reduce_with_charges(word: Sequence[str], system: DehnSystem,
                           charges: Mapping[Word, tuple[int, ...]],
-                          rank: int) -> tuple[Word, tuple[int, ...]]:
-    """Charged variant: every replacement consumes one relator instance and
-    its central charge is accumulated."""
+                          rank: int, split: Optional[int] = None) -> tuple[Word, tuple[int, ...]]:
+    """``d_reduce`` that also sums the central charges of the relators its
+    replacements consumed, one instance per replacement."""
+    reduced, ranks = _reduce(word, system, split)
     total = [0] * rank
-    current = free_reduce(word, system.alphabet)
-    while True:
-        hit = system.scan(current)
-        if hit is None:
-            return current, tuple(total)
-        start, replacement, consumed = hit
-        # identify the relator: consumed prefix + inverse of replacement
-        relator = current[start : start + consumed] + word_inverse(replacement, system.alphabet)
-        for k, c in enumerate(charges[relator]):
+    for r in ranks:
+        for k, c in enumerate(charges[system.relators[r]]):
             total[k] += c
-        current = free_reduce(
-            current[:start] + replacement + current[start + consumed:], system.alphabet
-        )
+    return reduced, tuple(total)
 
 
 def is_d_reduced(word: Sequence[str], system: DehnSystem) -> bool:

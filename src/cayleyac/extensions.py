@@ -3,13 +3,16 @@
 The cocycle is never materialized: an element is a pair (central vector,
 D-reduced base word) and multiplication concatenates base words, reducing
 with the relator system while every more-than-half replacement deposits the
-relator's central charge.  The generating set consists of the base letters
-and a central alphabet assembled from the relator charges, a budgeted
-short-word enumeration, and a certified relator-power completion."""
+relator's central charge.  Both base words are D-reduced, so the reduction
+looks only around their junction; a factor with an empty base word (a
+central letter) only adds its vector.  The generating set consists of the
+base letters and a central alphabet assembled from the relator charges, a
+budgeted short-word enumeration, and a certified relator-power completion."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Mapping, Optional, Sequence
 
 from .dehn import QuasiConstants, close_dehn_with_charges, d_reduce_with_charges
@@ -60,7 +63,7 @@ class CentralAlphabet:
 
 
 def _vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def _vec_neg(u):
@@ -163,10 +166,14 @@ class CentralExtension(GroupInterface):
         return self._identity
 
     def multiply(self, u: ExtElement, v: ExtElement) -> ExtElement:
+        ub, vb = u.base, v.base
+        if not vb.word:
+            # v is central: no reduction, no charge
+            return ExtElement(_vec_add(u.avec, v.avec), ub)
         word, consumed = d_reduce_with_charges(
-            u.base.word + v.base.word, self.dehn, self.charges, self.rank
+            ub.word + vb.word, self.dehn, self.charges, self.rank, split=len(ub.word)
         )
-        base_elem = self.base.compose_element(word, u.base, v.base)
+        base_elem = self.base.compose_element(word, ub, vb)
         return ExtElement(_vec_add(_vec_add(u.avec, v.avec), consumed), base_elem)
 
     def invert(self, u: ExtElement) -> ExtElement:
@@ -189,7 +196,7 @@ class CentralExtension(GroupInterface):
         # reduction of word * rep^-1 to the empty word collects the charge
         _, consumed = d_reduce_with_charges(
             elem.base.word + word_inverse(rep.word, self.base.alphabet),
-            self.dehn, self.charges, self.rank,
+            self.dehn, self.charges, self.rank, split=len(elem.base.word),
         )
         return ExtElement(_vec_add(elem.avec, consumed), rep)
 

@@ -171,13 +171,14 @@ class FreeGroup(GroupInterface):
 
 
 def encode_word(word: Sequence[str], alphabet: Alphabet) -> bytes:
-    return bytes(alphabet.index(letter) for letter in word)
+    return bytes(map(alphabet.index, word))
 
 
 def decode_word(key: bytes, alphabet: Alphabet) -> Word:
-    if key and max(key) >= len(alphabet.names):
+    names = alphabet.names
+    if key and max(key) >= len(names):
         raise ValueError(f"letter index {max(key)} outside the alphabet")
-    return tuple(alphabet.names[i] for i in key)
+    return tuple(map(names.__getitem__, key))
 
 
 def check_group_axioms(group: GroupInterface, elements, trials: int = 100, rng=None) -> None:

@@ -11,23 +11,36 @@ commutator [cUWU^-1c^-1, cZU^-1c^-1]; the last handle goes to
 map has a small built-in kernel (a2 and [a1,b1] b1 [a1,b1]^-1 have one
 image), which the abelianization vector separates.
 
+The fingerprint is one flat 5-tuple: the abelianization vector packed into
+one int, then the four matrix entries.  The packing (coordinate i times
+2**(32 i)) is additive, so the fingerprint stays a function of the element,
+and injective while every coordinate is below 2**31 in absolute value.  A
+product's fingerprint is the product of its factors', one matrix product.
+
+Words are D-reduced throughout, so a product of two words reduces only
+around their junction (see ``dehn``).
+
 Representatives come from a clustering memo that keeps the first word it
 sees for each element; which word that is does not depend on the
-homomorphism, only on the order of resolution.  Exploration resolves candidates in a fixed order, so
-the keys of resolved elements are reproducible, but they depend on what the
-instance resolved before.
+homomorphism, only on the order of resolution.  Exploration resolves
+candidates in a fixed order, so the keys of resolved elements are
+reproducible, but they depend on what the instance resolved before.  The
+memo also maps each registered word to its fingerprint: no two registered
+words are one element, so a registered word resolves to itself at once,
+and its key decodes without folding the word.
 """
 
 from __future__ import annotations
 
 import random
 
-from .dehn import close_dehn, d_reduce, surface_alphabet, surface_relator
+from .dehn import close_dehn, d_reduce, is_d_reduced, surface_alphabet, surface_relator
 from .groups import GroupInterface, encode_word, decode_word
 from .words import Word, word_inverse
 
 _P = 1_073_741_789  # the largest prime below 2**30: entries are one-digit ints
 _ID2 = (1, 0, 0, 1)
+_DIGIT = 32  # bits per packed abelianization coordinate
 
 
 def _mat_mul(a, b):
@@ -75,9 +88,12 @@ def _surface_images(genus: int, rng: random.Random) -> list:
 
 
 class SurfaceElement:
-    """A D-reduced word with its fingerprint.  ``==`` and ``hash`` go by the
-    word (the fingerprint is a function of the group element), so two words
-    for one group element are unequal until resolved."""
+    """A word with its fingerprint.  Invariant: the word is D-reduced, which
+    every product and inverse keeps and ``decode_key`` checks; products
+    reduce only around the junction of their factors on the strength of it.
+    ``==`` and ``hash`` go by the word (the fingerprint is a function of the
+    group element), so two words for one group element are unequal until
+    resolved."""
 
     __slots__ = ("word", "fp")
 
@@ -105,16 +121,18 @@ class SurfaceGroup(GroupInterface):
         self.dehn = close_dehn([self.relator], self.alphabet)
         positive = [n for n in self.alphabet.names if not n.endswith("-")]
         images = _surface_images(genus, random.Random(0x5EED))
-        self._identity = SurfaceElement((), ((0,) * len(positive), _ID2))
+        self._identity = SurfaceElement((), (0,) + _ID2)
         self._images = {}
         for i, (name, mat) in enumerate(zip(positive, images)):
-            fp = (tuple(int(k == i) for k in range(len(positive))), mat)
+            fp = (1 << (_DIGIT * i),) + mat
             inv = self.alphabet.inverse(name)
             self._images[name] = SurfaceElement((name,), fp)
             self._images[inv] = SurfaceElement((inv,), self._fp_inv(fp))
+        # fingerprint -> registered words, and registered word -> fingerprint
         self._registry: dict[tuple, list[Word]] = {}
+        self._registered: dict[Word, tuple] = {}
 
-    # -- fingerprints: (abelianization vector, image in SL(2, p)) ---------------
+    # -- fingerprints: (packed abelianization, SL(2, p) image entries) ----------
 
     def _fp_of_word(self, word: Word) -> tuple:
         fp = self._identity.fp
@@ -124,11 +142,14 @@ class SurfaceGroup(GroupInterface):
 
     @staticmethod
     def _fp_mul(fu: tuple, fv: tuple) -> tuple:
-        return (tuple(x + y for x, y in zip(fu[0], fv[0])), _mat_mul(fu[1], fv[1]))
+        v, a, b, c, d = fu
+        v1, e, f, g, h = fv
+        return (v + v1, (a * e + b * g) % _P, (a * f + b * h) % _P,
+                (c * e + d * g) % _P, (c * f + d * h) % _P)
 
     @staticmethod
     def _fp_inv(fu: tuple) -> tuple:
-        return (tuple(-x for x in fu[0]), _mat_inv(fu[1]))
+        return (-fu[0],) + _mat_inv(fu[1:])
 
     # -- group interface --------------------------------------------------------
 
@@ -137,7 +158,8 @@ class SurfaceGroup(GroupInterface):
         return self._identity
 
     def multiply(self, u: SurfaceElement, v: SurfaceElement) -> SurfaceElement:
-        return SurfaceElement(d_reduce(u.word + v.word, self.dehn), self._fp_mul(u.fp, v.fp))
+        return SurfaceElement(d_reduce(u.word + v.word, self.dehn, split=len(u.word)),
+                              self._fp_mul(u.fp, v.fp))
 
     def compose_element(self, word: Word, u: SurfaceElement, v: SurfaceElement) -> SurfaceElement:
         """Element with an externally reduced word for the product u*v (the
@@ -160,21 +182,34 @@ class SurfaceGroup(GroupInterface):
         return self.is_identity_word(u.word + word_inverse(v.word, self.alphabet))
 
     def resolve(self, elem: SurfaceElement) -> SurfaceElement:
-        """Canonical representative through the clustering memo."""
+        """Canonical representative through the clustering memo.  A
+        registered word is its own representative: no two registered words
+        are one element."""
+        word = elem.word
+        if word in self._registered:
+            return elem
         bucket = self._registry.setdefault(elem.fp, [])
         for rep in bucket:
-            if rep == elem.word or self.is_identity_word(
-                elem.word + word_inverse(rep, self.alphabet)
-            ):
-                return elem if rep == elem.word else SurfaceElement(rep, elem.fp)
-        bucket.append(elem.word)
+            if not d_reduce(word + word_inverse(rep, self.alphabet), self.dehn,
+                            split=len(word)):
+                return SurfaceElement(rep, elem.fp)
+        bucket.append(word)
+        self._registered[word] = elem.fp
         return elem
 
     def key(self, elem: SurfaceElement) -> bytes:
         return encode_word(elem.word, self.alphabet)
 
     def decode_key(self, key: bytes) -> SurfaceElement:
+        """The element of a key; a registered word keeps its stored
+        fingerprint.  Raises ValueError for a word that is not D-reduced,
+        which no key of an element is."""
         word = decode_word(key, self.alphabet)
+        fp = self._registered.get(word)
+        if fp is not None:
+            return SurfaceElement(word, fp)
+        if not is_d_reduced(word, self.dehn):
+            raise ValueError(f"key word {' '.join(word)} is not D-reduced")
         return self.resolve(SurfaceElement(word, self._fp_of_word(word)))
 
     def fingerprint(self) -> str:

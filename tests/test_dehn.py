@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -9,7 +11,9 @@ from cayleyac.dehn import (DehnSystem, EmptyRelator, close_dehn,
                            surface_relator, triangle_relators)
 from cayleyac.explorer import build_ball
 from cayleyac.groups import FreeGroup
-from cayleyac.words import Alphabet, word_inverse
+from cayleyac.surface import SurfaceGroup
+from cayleyac.triangle import TriangleGroup
+from cayleyac.words import Alphabet, free_reduce, word_inverse
 
 
 def test_close_dehn_counts():
@@ -135,3 +139,124 @@ def test_triangle_constants_stable(triangle237, triangle_dehn):
     q8 = measure_quasi_constants(triangle237, triangle_dehn, ball, 8, samples=300, seed=7)
     assert (q7.lam, q7.eps, q7.k_of_m[2]) == (q8.lam, q8.eps, q8.k_of_m[2])
     assert q8.k_of_m[2] >= 1
+
+
+def _full_scan_reduce(word, system, charges=None, rank=0):
+    """The reduction loop before split reductions, kept as the reference:
+    free reduction and a scan from every start after each replacement, and
+    the relator of a charged replacement rebuilt from the word."""
+    total = [0] * rank
+    current = free_reduce(word, system.alphabet)
+    while True:
+        best = None
+        for start in range(len(current)):
+            hit = system.longest_match(current, start)
+            if hit is not None and (best is None or hit[1] > best[2]):
+                best = (start, hit[0], hit[1])
+        if best is None:
+            return current, tuple(total)
+        start, replacement, consumed = best
+        if charges is not None:
+            relator = current[start:start + consumed] + word_inverse(replacement, system.alphabet)
+            for k, c in enumerate(charges[relator]):
+                total[k] += c
+        current = free_reduce(current[:start] + replacement + current[start + consumed:],
+                              system.alphabet)
+
+
+def _reduction_systems(name, request):
+    """The relator system, and charge maps of rank 1 and 2, of each family
+    whose products reduce with a split."""
+    if name.startswith("surface"):
+        genus = int(name[-1])
+        rel, alphabet = surface_relator(genus), surface_alphabet(genus)
+        system, charges1 = close_dehn_with_charges({rel: (1,)}, alphabet)
+        _, charges2 = close_dehn_with_charges({rel: (1, 1)}, alphabet)
+        return system, [(charges1, 1), (charges2, 2)]
+    if name == "rotation237":
+        rels, alphabet = triangle_relators(2, 3, 7)
+        system = close_dehn(rels, alphabet)
+    else:
+        system = request.getfixturevalue("triangle_dehn")
+    # a charge per relator, so that charging the wrong relator shows
+    return system, [({rel: (1,) for rel in system.relators}, 1),
+                    ({rel: (1, i) for i, rel in enumerate(system.relators)}, 2)]
+
+
+@pytest.mark.parametrize("name", ["surface2", "surface3", "rotation237", "triangle237"])
+def test_split_reduction_equals_full_reduction(name, request):
+    """d_reduce and d_reduce_with_charges give the full-scan loop's word and
+    charge: on random words without a split, on products of two D-reduced
+    words of length <= 13 with the split at the junction (half of them
+    ending and starting inside one relator, where replacements cross it),
+    and on one-letter appends and prepends."""
+    system, charge_maps = _reduction_systems(name, request)
+    names = system.alphabet.names
+    rng = random.Random(name)
+
+    def letters(k):
+        return tuple(rng.choice(names) for _ in range(k))
+
+    def factor(left):
+        # half of the factors end (left) or start (right) inside a relator,
+        # so that replacements cross the junction
+        word = letters(rng.randrange(14))
+        if rng.random() < 0.5:
+            rel = rng.choice(system.relators)
+            cut = rng.randrange(len(rel) + 1)
+            word = (word + rel[:cut])[-13:] if left else (rel[cut:] + word)[:13]
+        return _full_scan_reduce(word, system)[0]
+
+    def check(word, split):
+        want, _ = _full_scan_reduce(word, system)
+        assert d_reduce(word, system, split=split) == want, (word, split)
+        charges, rank = rng.choice(charge_maps)
+        assert (d_reduce_with_charges(word, system, charges, rank, split=split)
+                == _full_scan_reduce(word, system, charges, rank)), (word, split)
+
+    for _ in range(7000):
+        check(letters(rng.randrange(25)), None)
+        u, v = factor(True), factor(False)
+        check(u + v, len(u))
+        letter = letters(1)
+        if rng.random() < 0.5:
+            check(u + letter, len(u))
+        else:
+            check(letter + u, 1)
+
+
+def test_split_reduction_after_a_cut_into_the_prefix():
+    """A replacement whose free reduction cuts into the D-reduced prefix,
+    followed by letters of the replacement: the prefix is D-reduced only up
+    to the cut, so the next scan reaches back from there.  The relator is
+    not cyclically reduced, so the replacement b- b a b- of a- a- a- b- a
+    cancels into the prefix and leaves a b- after it."""
+    system = close_dehn([("b", "a-", "a-", "a-", "b-", "a", "b", "a-", "b-")],
+                        Alphabet(["a", "b"]))
+    u, v = ("b",) + ("a-",) * 7 + ("b-",), ("a",)
+    assert is_d_reduced(u, system) and is_d_reduced(v, system)
+    want = _full_scan_reduce(u + v, system)[0]
+    assert want == ("b", "a", "b-", "a-")
+    assert d_reduce(u + v, system, split=len(u)) == want
+
+
+def test_dehn_groups_freed_by_reference_counting():
+    """Relator systems and surface groups hold no reference cycle, so they
+    are freed as soon as their last reference goes, with no collection; a
+    cycle would keep each set-up's tables until the collector runs."""
+    triangle = TriangleGroup(2, 3, 7)
+    seeds = triangle.identity_words(2 * triangle.orders[2] + 1)
+    gc.collect()
+    gc.disable()
+    try:
+        system = close_dehn(seeds, triangle.alphabet)
+        surface = SurfaceGroup(2)
+        build_ball(surface, 2).graph()
+        refs = [weakref.ref(system), weakref.ref(surface.dehn), weakref.ref(surface)]
+        del system, surface
+        assert [ref() for ref in refs] == [None, None, None]
+        # the cached system of a group that is gone goes with it
+        ref = weakref.ref(TriangleGroup(2, 3, 7).dehn)
+        assert ref() is None
+    finally:
+        gc.enable()

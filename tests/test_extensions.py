@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from cayleyac.dehn import is_d_reduced
+from cayleyac.dehn import d_reduce_with_charges, is_d_reduced
 from cayleyac.explorer import build_ball
 from cayleyac.extensions import (CentralExtension, MissingCentralGenerator,
                                  central_witness_path)
+from cayleyac.words import word_inverse
 
 
 def test_central_alphabet_and_flag(genus2_ext):
@@ -158,3 +159,49 @@ def test_fingerprint_hashes_every_charge(surface2):
     third = sorted(second.charges, key=" ".join)[2]
     second.charges[third] = (5,)
     assert first.fingerprint() != second.fingerprint()
+
+
+def test_central_ball_invariants(genus2_ext, monkeypatch):
+    """The facts the junction-local product relies on, over the genus-2
+    central B(4): base words are D-reduced and keys round-trip; a central
+    letter multiplies without a reduction into the element the general
+    reduction gives; resolving a registered word reduces nothing."""
+    from cayleyac import extensions, surface
+
+    ball = build_ball(genus2_ext, 4)
+    base = genus2_ext.base
+    for elem in ball.elements:
+        assert is_d_reduced(elem.base.word, genus2_ext.dehn)
+        back = genus2_ext.decode_key(genus2_ext.key(elem))
+        assert back == elem and back.base.fp == elem.base.fp
+    for name in ("c1", "c1-"):
+        img = genus2_ext.generator_images[name]
+        for elem in ball.elements:
+            word, consumed = d_reduce_with_charges(elem.base.word + img.base.word,
+                                                   genus2_ext.dehn, genus2_ext.charges,
+                                                   genus2_ext.rank)
+            got = genus2_ext.multiply(elem, img)
+            assert got.avec == tuple(map(sum, zip(elem.avec, img.avec, consumed)))
+            assert got.base.word == word
+            assert got.base.fp == base.compose_element(word, elem.base, img.base).fp
+
+    calls = []
+
+    def counted(fn):
+        return lambda *args, **kwargs: calls.append(fn.__name__) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(surface, "d_reduce", counted(surface.d_reduce))
+    monkeypatch.setattr(extensions, "d_reduce_with_charges",
+                        counted(extensions.d_reduce_with_charges))
+    for i, elem in enumerate(ball.elements):
+        assert genus2_ext.resolve(elem) is elem
+        assert base.resolve(elem.base) is elem.base
+        assert ball.locate(elem) == i
+    assert calls == []
+    # the counters do count: of two base words of length 4 for one base
+    # element, one is not registered, and resolving it reduces
+    rel = base.relator
+    pair = [genus2_ext.evaluate(rel[:4]), genus2_ext.evaluate(word_inverse(rel[4:], base.alphabet))]
+    calls.clear()
+    assert genus2_ext.resolve(pair[0]).base == genus2_ext.resolve(pair[1]).base
+    assert calls

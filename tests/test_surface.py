@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from cayleyac.dehn import is_d_reduced
 from cayleyac.explorer import build_ball
+from cayleyac.groups import encode_word
 from cayleyac.surface import SurfaceGroup
 from cayleyac.words import free_reduce, word_inverse
 
@@ -82,3 +84,31 @@ def test_inverse_and_associativity(surface2):
         assert surface2.element_equal(left, right)
         assert surface2.element_equal(surface2.multiply(u, surface2.invert(u)),
                                       surface2.identity)
+
+
+def test_ball_words_d_reduced_and_keys_round_trip(surface2, surface_ball5, monkeypatch):
+    """Every word of B(5) is D-reduced, which products rely on to reduce
+    only at the junction.  Keys decode to the element with its fingerprint,
+    on the instance that registered them (no fold, no reduction) and on a
+    fresh one (folded and resolved)."""
+    from cayleyac import surface
+
+    fresh = SurfaceGroup(2)
+    for elem, key in zip(surface_ball5.elements, surface_ball5.keys):
+        assert is_d_reduced(elem.word, surface2.dehn)
+        for group in (fresh, surface2):
+            back = group.decode_key(key)
+            assert back == elem and back.fp == elem.fp
+    calls = []
+    monkeypatch.setattr(surface, "d_reduce", lambda *args, **kw: calls.append(1))
+    monkeypatch.setattr(SurfaceGroup, "_fp_of_word", lambda self, word: calls.append(1))
+    for i, elem in enumerate(surface_ball5.elements):
+        assert surface2.resolve(elem) is elem
+        assert surface2.decode_key(surface_ball5.keys[i]) == elem
+    assert calls == []
+
+
+def test_decode_key_rejects_words_that_are_not_d_reduced():
+    group = SurfaceGroup(2)
+    with pytest.raises(ValueError):
+        group.decode_key(encode_word(group.relator[:5], group.alphabet))
