@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .words import Alphabet, Word, free_reduce, word_inverse
@@ -260,7 +261,7 @@ def _random_d_reduced(system: DehnSystem, length: int, rng: random.Random) -> Wo
         rng.shuffle(options)
         for letter in options:
             cand = word + (letter,)
-            if free_reduce(cand, system.alphabet) == cand and is_d_reduced(cand, system):
+            if is_d_reduced(cand, system):
                 word = cand
                 break
         else:
@@ -268,41 +269,100 @@ def _random_d_reduced(system: DehnSystem, length: int, rng: random.Random) -> Wo
     return word
 
 
+def _all_d_reduced(system: DehnSystem, prefix: Word, remaining: int):
+    """Every D-reduced extension of prefix by at most ``remaining`` letters,
+    depth first in alphabet order."""
+    yield prefix
+    if remaining == 0:
+        return
+    for letter in system.alphabet.names:
+        cand = prefix + (letter,)
+        if is_d_reduced(cand, system):
+            yield from _all_d_reduced(system, cand, remaining - 1)
+
+
+class _BallWalk:
+    """Walks over a ball by vertex ids.  A state is a ball index, or ~k for
+    the k-th element met outside the ball.  A memo maps (state, letter) to
+    the next state, with the edge back filled in as well, so each distinct
+    product is multiplied and located at most once.  A length is read by
+    index; outside the ball it is clamped to radius + 1."""
+
+    def __init__(self, group, ball):
+        self.group = group
+        self.ball = ball
+        self.clamp = ball.radius + 1
+        self._memo: dict = {}
+        self._outside: list = []  # elements past the ball, by ~state
+        self._outside_ids: dict = {}
+
+    def path(self, state: int, word: Sequence[str]) -> list[int]:
+        """The states after each prefix of word, from ``state`` on."""
+        memo = self._memo
+        states = [state]
+        for letter in word:
+            nxt = memo.get((state, letter))
+            if nxt is None:
+                nxt = self._step(state, letter)
+            states.append(nxt)
+            state = nxt
+        return states
+
+    def walk(self, state: int, word: Sequence[str]) -> int:
+        return self.path(state, word)[-1]
+
+    def _step(self, state: int, letter: str) -> int:
+        group, ball = self.group, self.ball
+        elem = ball.elements[state] if state >= 0 else self._outside[~state]
+        product = group.resolve(group.multiply(elem, group.generator_images[letter]))
+        nxt = ball.index.get(product)
+        if nxt is None:
+            nxt = self._outside_ids.get(product)
+            if nxt is None:
+                nxt = self._outside_ids[product] = ~len(self._outside)
+                self._outside.append(product)
+        self._memo[(state, letter)] = nxt
+        self._memo.setdefault((nxt, group.alphabet.inverse(letter)), state)
+        return nxt
+
+    def length(self, state: int) -> int:
+        return self.ball.lengths[state] if state >= 0 else self.clamp
+
+
 def measure_quasi_constants(group, system: DehnSystem, ball, radius: int,
                             samples: int = 400, seed: int = 0) -> QuasiConstants:
     """Empirical (lambda, epsilon), fellow-traveler constants k(m) for
     m = 1, 2 and a thin-triangle delta, measured over sampled D-reduced words
-    of length up to ``radius`` with exact lengths from the ball.  Raises
-    ValueError for a radius below 1, where every sampled word is empty."""
+    of length up to ``radius`` with exact lengths from the ball.
+
+    Every product is one step of a walk over ball indices (``_BallWalk``),
+    whose memo lives for this call only: each distinct product is multiplied
+    once, and lengths are read by index, clamped to the ball's radius + 1
+    outside it.  Raises ValueError for a radius below 1, where every sampled
+    word is empty, and for one past the ball's radius, where sampled words
+    leave the ball."""
     if radius < 1:
         raise ValueError(f"quasi-constants radius must be >= 1, got {radius}")
+    if radius > ball.radius:
+        raise ValueError(f"quasi-constants radius {radius} exceeds the ball "
+                         f"radius {ball.radius}")
     rng = random.Random(seed)
-    words: list[Word] = []
     # exhaustive short words, then random longer ones
-    def all_d_reduced(prefix: Word, remaining: int):
-        yield prefix
-        if remaining == 0:
-            return
-        for letter in system.alphabet.names:
-            cand = prefix + (letter,)
-            if free_reduce(cand, system.alphabet) == cand and is_d_reduced(cand, system):
-                yield from all_d_reduced(cand, remaining - 1)
-
-    words.extend(w for w in all_d_reduced((), min(3, radius)) if w)
+    words: list[Word] = [w for w in _all_d_reduced(system, (), min(3, radius)) if w]
     while len(words) < samples:
         w = _random_d_reduced(system, radius, rng)
         if w:
             words.append(w)
 
-    # quasigeodesic data: (word length, element length) for all subwords
+    walker = _BallWalk(group, ball)
+    lengths = ball.lengths
+    # quasigeodesic data: (word length, element length) for all subwords;
+    # every subword lies in the ball
     data: list[tuple[int, int]] = []
-    images = group.generator_images
     for w in words:
         for i in range(len(w)):
-            sub = group.identity
-            for j in range(i + 1, len(w) + 1):
-                sub = group.multiply(sub, images[w[j - 1]])
-                data.append((j - i, ball.length_of(sub)))
+            for j, state in enumerate(walker.path(0, w[i:])[1:], 1):
+                data.append((j, lengths[state]))
 
     lam, eps = _fit_quasi(data)
 
@@ -313,88 +373,82 @@ def measure_quasi_constants(group, system: DehnSystem, ball, radius: int,
     for m in (1, 2):
         worst = 0
         for w in words[: min(len(words), 120)]:
-            end = group.evaluate(w)
+            end = walker.walk(0, w)
             for count in range(1, m + 1):
                 connector = tuple(rng.choice(names) for _ in range(count))
-                target = group.multiply(end, group.evaluate(connector))
-                try:
-                    v = ball.geodesic_witness(target)
-                except KeyError:
+                target = walker.walk(end, connector)
+                if target < 0:
                     continue
-                worst = max(worst, _hausdorff(group, ball, w, v))
+                v = ball.geodesic_witness(target)
+                worst = max(worst, _hausdorff(walker, w, v))
         k_of_m[m] = worst
 
-    delta = _measure_delta(group, ball, words[: min(len(words), 60)], rng)
+    delta = _measure_delta(walker, words[: min(len(words), 60)], rng)
     return QuasiConstants(lam=lam, eps=eps, k_of_m=k_of_m, delta=delta,
                           radius=radius, samples=len(words),
                           details={"data_points": len(data)})
 
 
+# the grid scaled to integers by the lcm of its denominators
+_GRID_SCALE = lcm(*(lam.denominator for lam in _LAMBDA_GRID))
+_SCALED_GRID = [int(lam * _GRID_SCALE) for lam in _LAMBDA_GRID]
+
+
 def _fit_quasi(data) -> tuple[Fraction, Fraction]:
     """Smallest grid lambda admitting a finite epsilon <= 12, then the
-    smallest such epsilon."""
-    for lam in _LAMBDA_GRID:
-        eps = Fraction(0)
-        ok = True
+    smallest such epsilon; past the grid, the last lambda with the first
+    epsilon found over 12.  The search runs in integers scaled by
+    ``_GRID_SCALE``."""
+    bound = 12 * _GRID_SCALE
+    for lam, scaled in zip(_LAMBDA_GRID, _SCALED_GRID):
+        eps = 0
         for wlen, elen in data:
-            need = Fraction(wlen) - lam * elen
+            need = _GRID_SCALE * wlen - scaled * elen
             if need > eps:
                 eps = need
-            if eps > 12:
-                ok = False
-                break
-        if ok:
-            return lam, eps
-    return _LAMBDA_GRID[-1], eps
+                if eps > bound:
+                    break
+        else:
+            return lam, Fraction(eps, _GRID_SCALE)
+    return _LAMBDA_GRID[-1], Fraction(eps, _GRID_SCALE)
 
 
-def _path_points(group, word):
-    pts = [group.identity]
-    for letter in word:
-        pts.append(group.multiply(pts[-1], group.generator_images[letter]))
-    return pts
-
-
-def _hausdorff(group, ball, u: Word, v: Word) -> int:
+def _hausdorff(walker: _BallWalk, u: Word, v: Word) -> int:
     """Two-sided Hausdorff distance between the paths labelled u and v,
     through exact ball lengths (distances beyond the ball radius are clamped
-    to radius+1)."""
-    pv = _path_points(group, v)
-    grid = [[_dist(group, ball, a_inv, b) for b in pv]
-            for a_inv in map(group.invert, _path_points(group, u))]
+    to radius+1).  Row i of the grid is the walk along v from u[:i]^-1, so
+    entry j is the distance between u[:i] and v[:j]."""
+    alphabet = walker.group.alphabet
+    grid = [[walker.length(s)
+             for s in walker.path(walker.walk(0, word_inverse(u[:i], alphabet)), v)]
+            for i in range(len(u) + 1)]
     one = max(min(row) for row in grid)
-    two = max(min(row[j] for row in grid) for j in range(len(pv)))
+    two = max(min(row[j] for row in grid) for j in range(len(v) + 1))
     return max(one, two)
 
 
-def _dist(group, ball, a_inv, b) -> int:
-    """Length of a^-1 b, given a^-1."""
-    diff = group.multiply(a_inv, b)
-    try:
-        return ball.length_of(diff)
-    except KeyError:
-        return ball.radius + 1
-
-
-def _measure_delta(group, ball, words, rng) -> int:
-    """Worst thin-triangle constant over sampled geodesic triangles."""
+def _measure_delta(walker: _BallWalk, words, rng) -> int:
+    """Worst thin-triangle constant over sampled geodesic triangles: sides
+    a and c are geodesics to x and y, side b one from x to y."""
+    ball = walker.ball
+    alphabet = walker.group.alphabet
     worst = 0
     pool = [w for w in words if w]
     for _ in range(min(30, len(pool))):
         wx = rng.choice(pool)
         wy = rng.choice(pool)
-        x = group.evaluate(wx)
-        y = group.evaluate(wy)
-        try:
-            side_a = ball.geodesic_witness(x)
-            side_c = ball.geodesic_witness(y)
-            side_b = ball.geodesic_witness(group.multiply(group.invert(x), y))
-        except KeyError:
+        x = walker.walk(0, wx)
+        y = walker.walk(0, wy)
+        x_to_y = walker.walk(walker.walk(0, word_inverse(wx, alphabet)), wy)
+        if x_to_y < 0:
             continue
-        pa = _path_points(group, side_a)
-        pb = [group.multiply(x, p) for p in _path_points(group, side_b)]
-        pc = _path_points(group, side_c)
-        for p_inv in map(group.invert, pa):
-            worst = max(worst, min(min(_dist(group, ball, p_inv, q) for q in pb),
-                                   min(_dist(group, ball, p_inv, q) for q in pc)))
+        side_a = ball.geodesic_witness(x)
+        side_b = ball.geodesic_witness(x_to_y)
+        side_c = ball.geodesic_witness(y)
+        for i in range(len(side_a) + 1):
+            # from the point p = side_a[:i]: p^-1 x is side_a[i:]
+            to_b = min(map(walker.length, walker.path(walker.walk(0, side_a[i:]), side_b)))
+            p_inv = walker.walk(0, word_inverse(side_a[:i], alphabet))
+            to_c = min(map(walker.length, walker.path(p_inv, side_c)))
+            worst = max(worst, min(to_b, to_c))
     return worst

@@ -312,7 +312,9 @@ class TriangleGroup(GroupInterface):
         inverse = ball.inverse_gens
         out = []
 
-        def extend(word, v):
+        # the walk is passed itself, so that no closure refers to it and
+        # nothing it holds waits for the cycle collector
+        def extend(extend, word, v):
             # vertex 0 is the identity
             if word and v == 0 and inverse[word[-1]] != word[0]:
                 out.append(tuple(names[g] for g in word))
@@ -330,10 +332,10 @@ class TriangleGroup(GroupInterface):
                 if g == back:
                     continue
                 word.append(g)
-                extend(word, child)
+                extend(extend, word, child)
                 word.pop()
 
-        extend([], 0)
+        extend(extend, [], 0)
         return out
 
     @cached_property

@@ -1,11 +1,13 @@
 import gc
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
-from cayleyac.dehn import (DehnSystem, EmptyRelator, close_dehn,
-                           close_dehn_with_charges, d_reduce,
+from cayleyac import explorer
+from cayleyac.dehn import (_LAMBDA_GRID, DehnSystem, EmptyRelator, _fit_quasi,
+                           close_dehn, close_dehn_with_charges, d_reduce,
                            d_reduce_with_charges, is_d_reduced,
                            measure_quasi_constants, surface_alphabet,
                            surface_relator, triangle_relators)
@@ -127,6 +129,17 @@ def test_free_group_constants():
             measure_quasi_constants(free, system, ball, radius, samples=80, seed=3)
 
 
+def test_radius_past_the_ball_rejected():
+    """Sampled words would leave the ball, whose lengths the measurement
+    reads: rejected up front, naming both radii."""
+    free = FreeGroup(2)
+    ball = build_ball(free, 3)
+    system = DehnSystem(free.alphabet, ())
+    with pytest.raises(ValueError, match="radius 4 exceeds the ball radius 3"):
+        measure_quasi_constants(free, system, ball, 4, samples=10)
+    assert measure_quasi_constants(free, system, ball, 3, samples=10).lam == 1
+
+
 def test_surface_constants_stable(surface2, surface_ball5, surface_quasi):
     q4, q5 = surface_quasi
     assert (q4.lam, q4.eps, q4.k_of_m[2]) == (q5.lam, q5.eps, q5.k_of_m[2])
@@ -139,6 +152,181 @@ def test_triangle_constants_stable(triangle237, triangle_dehn):
     q8 = measure_quasi_constants(triangle237, triangle_dehn, ball, 8, samples=300, seed=7)
     assert (q7.lam, q7.eps, q7.k_of_m[2]) == (q8.lam, q8.eps, q8.k_of_m[2])
     assert q8.k_of_m[2] >= 1
+
+
+def _fraction_fit_quasi(data):
+    """The lambda/epsilon fit in Fraction arithmetic, kept as the reference
+    for the integer-scaled fit."""
+    for lam in _LAMBDA_GRID:
+        eps = Fraction(0)
+        ok = True
+        for wlen, elen in data:
+            need = Fraction(wlen) - lam * elen
+            if need > eps:
+                eps = need
+            if eps > 12:
+                ok = False
+                break
+        if ok:
+            return lam, eps
+    return _LAMBDA_GRID[-1], eps
+
+
+def test_integer_fit_equals_fraction_fit():
+    """The same lambda and epsilon, as Fractions, on random data: fits at
+    every grid point, and past the grid, where epsilon is the first value
+    found over 12."""
+    rng = random.Random(5)
+    branches = set()
+    for _ in range(3000):
+        n = rng.randrange(0, 30)
+        spread = rng.choice((1, 3, 8, 40))
+        data = []
+        for _ in range(n):
+            wlen = rng.randrange(1, spread + 2)
+            data.append((wlen, rng.randrange(0, wlen + 1)))
+        want = _fraction_fit_quasi(data)
+        got = _fit_quasi(data)
+        assert got == want and all(type(x) is Fraction for x in got), data
+        branches.add(want[1] > 12)
+    assert branches == {False, True}
+
+
+def _grid_quasi_constants(group, system, ball, radius, samples, seed):
+    """The measurement before index walks, kept as the reference: every
+    product multiplied from group elements, every length located in the
+    ball, and the fellow-traveler and thin-triangle distances as full grids
+    of inverted prefixes times path points."""
+    rng = random.Random(seed)
+    alphabet = system.alphabet
+
+    def d_reduced(word):
+        return free_reduce(word, alphabet) == word and is_d_reduced(word, system)
+
+    def all_d_reduced(prefix, remaining):
+        yield prefix
+        if remaining:
+            for letter in alphabet.names:
+                if d_reduced(prefix + (letter,)):
+                    yield from all_d_reduced(prefix + (letter,), remaining - 1)
+
+    def random_d_reduced():
+        word = ()
+        for _ in range(radius):
+            options = list(alphabet.names)
+            rng.shuffle(options)
+            for letter in options:
+                if d_reduced(word + (letter,)):
+                    word += (letter,)
+                    break
+            else:
+                break
+        return word
+
+    words = [w for w in all_d_reduced((), min(3, radius)) if w]
+    while len(words) < samples:
+        w = random_d_reduced()
+        if w:
+            words.append(w)
+
+    images = group.generator_images
+    data = []
+    for w in words:
+        for i in range(len(w)):
+            sub = group.identity
+            for j in range(i + 1, len(w) + 1):
+                sub = group.multiply(sub, images[w[j - 1]])
+                data.append((j - i, ball.length_of(sub)))
+    lam, eps = _fraction_fit_quasi(data)
+
+    def points(word):
+        pts = [group.identity]
+        for letter in word:
+            pts.append(group.multiply(pts[-1], images[letter]))
+        return pts
+
+    def dist(a_inv, b):
+        try:
+            return ball.length_of(group.multiply(a_inv, b))
+        except KeyError:
+            return ball.radius + 1
+
+    def hausdorff(u, v):
+        pv = points(v)
+        grid = [[dist(a_inv, b) for b in pv] for a_inv in map(group.invert, points(u))]
+        return max(max(min(row) for row in grid),
+                   max(min(row[j] for row in grid) for j in range(len(pv))))
+
+    k_of_m = {}
+    for m in (1, 2):
+        worst = 0
+        for w in words[:120]:
+            end = group.evaluate(w)
+            for count in range(1, m + 1):
+                connector = tuple(rng.choice(alphabet.names) for _ in range(count))
+                target = group.multiply(end, group.evaluate(connector))
+                try:
+                    v = ball.geodesic_witness(target)
+                except KeyError:
+                    continue
+                worst = max(worst, hausdorff(w, v))
+        k_of_m[m] = worst
+
+    delta = 0
+    pool = words[:60]
+    for _ in range(min(30, len(pool))):
+        x = group.evaluate(rng.choice(pool))
+        y = group.evaluate(rng.choice(pool))
+        try:
+            side_a = ball.geodesic_witness(x)
+            side_c = ball.geodesic_witness(y)
+            side_b = ball.geodesic_witness(group.multiply(group.invert(x), y))
+        except KeyError:
+            continue
+        pb = [group.multiply(x, p) for p in points(side_b)]
+        pc = points(side_c)
+        for p_inv in map(group.invert, points(side_a)):
+            delta = max(delta, min(min(dist(p_inv, q) for q in pb),
+                                   min(dist(p_inv, q) for q in pc)))
+    return lam, eps, k_of_m, delta, len(words), len(data)
+
+
+def _outputs(qc):
+    return qc.lam, qc.eps, qc.k_of_m, qc.delta, qc.samples, qc.details["data_points"]
+
+
+def test_walks_equal_grid_measurement(triangle237, triangle_ball, triangle_dehn,
+                                      surface2, surface_ball5):
+    """The index walks give the grid measurement's constants: (2,3,7) on
+    B(8) at every radius from 3, surface genus 2 on B(5) at radii 4 and 5,
+    and the free group on B(6)."""
+    cases = [(triangle237, triangle_dehn, triangle_ball, radius, 24, seed)
+             for radius in range(3, 9) for seed in (0, 1, 2)]
+    cases += [(surface2, surface2.dehn, surface_ball5, radius, 200, seed)
+              for radius in (4, 5) for seed in (7, 8, 9)]
+    free = FreeGroup(2)
+    cases += [(free, DehnSystem(free.alphabet, ()), build_ball(free, 6), 6, 80, 3)]
+    for group, system, ball, radius, samples, seed in cases:
+        want = _grid_quasi_constants(group, system, ball, radius, samples, seed)
+        got = measure_quasi_constants(group, system, ball, radius, samples=samples,
+                                      seed=seed)
+        assert _outputs(got) == want, (group, radius, seed)
+
+
+def test_measurement_multiplies_each_product_once():
+    """Within one measurement no product of the same two elements is taken
+    twice; (2,3,7) at radius 5 with 20 samples makes at most 150."""
+    group = TriangleGroup(2, 3, 7)
+    ball, system = build_ball(group, 5), group.dehn
+    calls = []
+    multiply = group.multiply
+    group.multiply = lambda u, v: calls.append((group.key(u), group.key(v))) or multiply(u, v)
+    for seed in range(3):
+        calls.clear()
+        measure_quasi_constants(group, system, ball, 5, samples=20, seed=seed)
+        assert len(set(calls)) == len(calls)
+        if seed == 0:
+            assert 0 < len(calls) <= 150
 
 
 def _full_scan_reduce(word, system, charges=None, rank=0):
@@ -240,16 +428,28 @@ def test_split_reduction_after_a_cut_into_the_prefix():
     assert d_reduce(u + v, system, split=len(u)) == want
 
 
-def test_dehn_groups_freed_by_reference_counting():
+def test_dehn_groups_freed_by_reference_counting(monkeypatch):
     """Relator systems and surface groups hold no reference cycle, so they
     are freed as soon as their last reference goes, with no collection; a
-    cycle would keep each set-up's tables until the collector runs."""
+    cycle would keep each set-up's tables until the collector runs.  The
+    same holds for a system after a measurement has read it, and for the
+    ball that the triangle-group seeding walks."""
     triangle = TriangleGroup(2, 3, 7)
     seeds = triangle.identity_words(2 * triangle.orders[2] + 1)
+    ball = build_ball(triangle, 3)
+    balls = []
+
+    def build(group, radius):
+        built = build_ball(group, radius)
+        balls.append(weakref.ref(built))
+        return built
+
+    monkeypatch.setattr(explorer, "build_ball", build)
     gc.collect()
     gc.disable()
     try:
         system = close_dehn(seeds, triangle.alphabet)
+        measure_quasi_constants(triangle, system, ball, 3, samples=10, seed=0)
         surface = SurfaceGroup(2)
         build_ball(surface, 2).graph()
         refs = [weakref.ref(system), weakref.ref(surface.dehn), weakref.ref(surface)]
@@ -258,5 +458,7 @@ def test_dehn_groups_freed_by_reference_counting():
         # the cached system of a group that is gone goes with it
         ref = weakref.ref(TriangleGroup(2, 3, 7).dehn)
         assert ref() is None
+        assert triangle.identity_words(7)
+        assert len(balls) == 2 and [ref() for ref in balls] == [None, None]
     finally:
         gc.enable()

@@ -45,3 +45,24 @@ def test_ball_central_micro_calls(monkeypatch, tmp_path):
                             "dehn.d_reduce_with_charges_us"}
     assert set(metrics) <= per_layer
     assert all(value > 0 for value in metrics.values())
+
+
+def test_constants_triangle_outputs_match_reference(monkeypatch, tmp_path):
+    """The constants-triangle workload's set-up and its units 0-2 at seed 0,
+    checked by the workload itself against reference.json."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+        reference = json.loads((PERFBENCH / "reference.json").read_text())
+        workload = workloads.ConstantsTriangle(0, str(tmp_path),
+                                               reference[workloads.ConstantsTriangle.name])
+        checks = workloads.Checks()
+        state = workload.setup(workloads.NoTrace())
+        checks.against("set-up", workload.observe_setup(state), workload.reference["setup"])
+        for index in range(3):
+            quasi = workload.unit(state, workloads.NoTrace(), index)
+            workload.check_unit(workload.observe(quasi), index, checks)
+    finally:
+        for name in ("workloads", "tracing"):
+            sys.modules.pop(name, None)
+    assert checks.attempted > 3 * 6 and checks.failures == []
