@@ -191,8 +191,9 @@ def build_group(spec: GroupSpecFile):
 
         genus = optional_int("base_genus", 2, least=2)
         charges = need("charges", list)
-        if not isinstance(charges, list) or not all(isinstance(c, int) for c in charges):
-            raise _err("InvalidValue", "charges must be an integer list", "charges")
+        if (not isinstance(charges, list) or not charges
+                or not all(isinstance(c, int) for c in charges)):
+            raise _err("InvalidValue", "charges must be a nonempty integer list", "charges")
         radius = optional_int("constants_radius", 4, least=1)
         budget = optional_int("budget", 10 ** 6, least=0)
         seed = optional_int("constants_seed", 7)
@@ -200,8 +201,14 @@ def build_group(spec: GroupSpecFile):
         ball = build_ball(base, radius)
         quasi = measure_quasi_constants(base, base.dehn, ball, radius,
                                         samples=200, seed=seed)
-        return CentralExtension(base, {base.relator: tuple(charges)},
-                                rank=len(charges), quasi=quasi, budget=budget)
+        group = CentralExtension(base, {base.relator: tuple(charges)},
+                                 rank=len(charges), quasi=quasi, budget=budget)
+        index = group.central_index()
+        if index != 1:
+            size = f"index {index}" if index else "infinite index"
+            raise _err("InvalidValue", f"the central letters generate a subgroup of "
+                       f"{size} in Z^{group.rank}, not all of it", "charges")
+        return group
 
     if kind == "finite_extension":
         from .finite_ext import BUILTIN_CONFIGS, FiniteNilExtension

@@ -8,9 +8,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from operator import add
 from typing import Callable, Optional, Sequence
 
-from .explorer import Ball, inside_path, sphere_pair_lengths, sphere_pairs
+from .explorer import Ball, inside_distance, sphere_pair_counts, sphere_pairs
 
 
 class ConstructionEscapedBall(AssertionError):
@@ -129,11 +130,13 @@ def ac_profile(ball: Ball, m: int, n_max: Optional[int] = None,
                name: Optional[str] = None) -> ConvexityProfile:
     """K(m,n) for every n up to n_max, measured on a prebuilt ball.
 
-    The pairs and their distances d come from one walk per sphere vertex
-    (``sphere_pair_lengths``).  A pair with a geodesic inside B(n) has
-    inside distance exactly d, since no path is shorter than d.  Only the
-    other pairs, and any pair with d over the cap, run the bidirectional
-    inside-path search, capped at 4n + 64.  Raises ValueError for m < 1."""
+    One walk per sphere vertex (``sphere_pair_counts``) counts, by distance
+    d, the pairs joined by a geodesic inside B(n): their inside distance is
+    exactly d, since no path is shorter than d, so a row adds up these
+    counts with no work per pair (one with d over the cap counts as
+    absent).  Only the other pairs run the length-only bidirectional
+    search (``inside_distance``), capped at 4n + 64.  Raises ValueError for
+    m < 1."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if n_max is None:
@@ -147,18 +150,26 @@ def ac_profile(ball: Ball, m: int, n_max: Optional[int] = None,
         cap_rule="4n+64",
     )
     for n in range(n_max + 1):
-        pairs, k_max, total, absent = 0, -1, 0, 0
         cap = 4 * n + 64
-        for i, j, d, inside in sphere_pair_lengths(ball, n, m):
-            pairs += 1
-            if not (inside and d <= cap):
-                path = inside_path(ball, i, j, n, cap=cap)
-                if path is None:
+        inside = [0] * m  # inside[d - 1]: pairs at distance d joined inside B(n)
+        pairs, k_max, total, absent = 0, -1, 0, 0
+        for i, counts, undecided in sphere_pair_counts(ball, n, m):
+            inside = list(map(add, inside, counts))
+            pairs += len(undecided)
+            for j, _d in undecided:
+                dist = inside_distance(ball, i, j, n, cap=cap)
+                if dist is None:
                     absent += 1
-                    continue
-                d = len(path)
-            k_max = max(k_max, d)
-            total += d
+                else:
+                    k_max = max(k_max, dist)
+                    total += dist
+        for d, count in enumerate(inside, start=1):
+            pairs += count
+            if d > cap:
+                absent += count
+            elif count:
+                k_max = max(k_max, d)
+                total += d * count
         profile.rows.append(
             ProfileRow(n=n, pairs=pairs, k_max=k_max,
                        total_len=total, absent_under_cap=absent)
@@ -232,7 +243,8 @@ def compare_witness(ball: Ball, n: int, m: int,
     and hard-check it never leaves the ball; record its worst length against
     the inside optimum and an optional declared bound.  The optimum is
     len(q) when the connector q of ``sphere_pairs`` stays inside B(n), and
-    the bidirectional inside-path search's length otherwise."""
+    the length the bidirectional search ``inside_distance`` finds
+    otherwise."""
     stop = ball.sphere(n).stop  # ids below it are exactly B(n)
     rows = ball.graph(n - ball.radius)
     gen_index = {name: gi for gi, name in enumerate(ball.gen_names)}
@@ -256,9 +268,8 @@ def compare_witness(ball: Ball, n: int, m: int,
         for letter in q[:-1]:
             v = rows[v][gen_index[letter]]
             if v >= stop:
-                path = inside_path(ball, i, j, n)
-                assert path is not None
-                optimal = len(path)
+                optimal = inside_distance(ball, i, j, n)
+                assert optimal is not None
                 break
         assert len(word) >= optimal
         report["pairs"] += 1

@@ -13,8 +13,10 @@ Sphere pairs, inside paths and witness checks read one integer-indexed
 Cayley graph per ball (``Ball.graph``), grown a sphere at a time with each
 edge multiplied once, to full rows of B(n) for the search at n and of
 B(n + ceil(m/2) - 1) for the pair walks.  Pairs are found by index walks
-over that graph, with no multiply per pair; the length-only walk also marks
-the pairs joined by a geodesic inside B(n).
+over that graph, with no multiply per pair.  The length-only walk counts,
+per sphere vertex and distance, the pairs joined by a geodesic inside B(n)
+and lists the rest, which ``inside_distance`` measures by the search of
+``inside_path`` without its readback.
 """
 
 from __future__ import annotations
@@ -363,10 +365,15 @@ def sphere_pairs(ball: Ball, n: int, m: int) -> Iterator[tuple[int, int, Word]]:
             level = nxt
 
 
-def sphere_pair_lengths(ball: Ball, n: int, m: int) -> Iterator[tuple[int, int, int, bool]]:
-    """The pairs of ``sphere_pairs``, by length only: (i, j, d, inside)
-    with d = d(g_i, g_j), and inside true when some path of length d from
-    i to j has every vertex in B(n).  Pairs come in order of i, then of d.
+def sphere_pair_counts(
+    ball: Ball, n: int, m: int,
+) -> Iterator[tuple[int, list[int], list[tuple[int, int]]]]:
+    """The pairs of ``sphere_pairs`` by length only, one sphere-n vertex at
+    a time: (i, counts, undecided) for each i in S(n) in order, where
+    counts[d - 1] is the number of j > i in S(n) at distance d from i that
+    are joined to it by a path of length d with every vertex in B(n), and
+    undecided lists the other pairs (j, d), j > i at distance d <= m, in
+    the order the walk meets them.
 
     One breadth-first walk of depth m from each g_i over the same graph
     builds no words.  Each level is split into the vertices that end a
@@ -379,8 +386,11 @@ def sphere_pair_lengths(ball: Ball, n: int, m: int) -> Iterator[tuple[int, int, 
     for i in ball.sphere(n):
         seen = {i, UNKNOWN}  # UNKNOWN is below stop but never a ball vertex
         inside, outside = [i], []
+        counts: list[int] = []
+        undecided: list[tuple[int, int]] = []
         for d in range(1, m + 1):
             next_inside, next_outside = [], []
+            count = 0
             for u in inside:
                 for v in rows[u]:
                     if v not in seen:
@@ -388,7 +398,7 @@ def sphere_pair_lengths(ball: Ball, n: int, m: int) -> Iterator[tuple[int, int, 
                         if v < stop:
                             next_inside.append(v)
                             if v > i:
-                                yield (i, v, d, True)
+                                count += 1
                         else:
                             next_outside.append(v)
             for u in outside:
@@ -397,8 +407,10 @@ def sphere_pair_lengths(ball: Ball, n: int, m: int) -> Iterator[tuple[int, int, 
                         seen.add(v)
                         next_outside.append(v)
                         if i < v < stop:
-                            yield (i, v, d, False)
+                            undecided.append((v, d))
+            counts.append(count)
             inside, outside = next_inside, next_outside
+        yield i, counts, undecided
 
 
 def inside_path(ball: Ball, i: int, j: int, n: int,
@@ -477,3 +489,49 @@ def inside_path(ball: Ball, i: int, j: int, n: int,
         right.append(names[inv_gen[gi]])
         u = prev
     return tuple(left) + tuple(right)
+
+
+def inside_distance(ball: Ball, i: int, j: int, n: int,
+                    cap: Optional[int] = None) -> Optional[int]:
+    """Length of ``inside_path(ball, i, j, n, cap)``, by the same search
+    with visited sets only: no parent edges and no readback.
+
+    Until the first meeting the two visited sets are disjoint, and every
+    node of the other side at less than its frontier depth has been
+    expanded, so its neighbours in B(n) are already on that side.  A new
+    node that the expanding side meets therefore lies on the other side's
+    frontier, and every meeting of that level gives the same total: the
+    first one is returned."""
+    if n > ball.radius:
+        raise RadiusUnavailable(f"ball radius {ball.radius} < {n}")
+    if cap is None:
+        cap = 4 * n + 64
+    if i == j:
+        return 0
+    rows = ball.graph(n - ball.radius)
+    stop = ball.sphere(n).stop  # ids below it are exactly B(n)
+    fwd, bwd = {i}, {j}
+    f_frontier, b_frontier = [i], [j]
+    depth = 0  # forward depth + backward depth
+    while f_frontier or b_frontier:
+        if depth >= cap:
+            return None
+        forward = bool(f_frontier) and (len(f_frontier) <= len(b_frontier)
+                                        or not b_frontier)
+        frontier, visited, other = ((f_frontier, fwd, bwd) if forward
+                                    else (b_frontier, bwd, fwd))
+        depth += 1
+        new = []
+        for u in frontier:
+            for v in rows[u]:
+                if v < stop and v not in visited:
+                    if v in other:
+                        return depth
+                    visited.add(v)
+                    new.append(v)
+        if forward:
+            f_frontier = new
+        else:
+            b_frontier = new
+    # see inside_path: parent chains connect the ball's subgraph
+    raise RuntimeError(f"ball subgraph disconnected between {i} and {j}")

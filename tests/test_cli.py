@@ -218,3 +218,17 @@ def test_central_extension_fields_are_error_records(tmp_path, capsys):
         assert run_command(["ball", "--group", ext, "--radius", "1"]) == 1, entry
         record = json.loads(capsys.readouterr().out)
         assert (record["error"], record["field"]) == ("InvalidValue", fld), entry
+
+
+@pytest.mark.parametrize("charges", ["[0]", "[]", "[0,1]", "[2]"])
+def test_central_letters_must_generate_the_centre(tmp_path, capsys, charges):
+    """Charges whose central letters generate no central lattice, or only a
+    proper subgroup of it ([0, 1] gives c1 = (0, 1); [2] gives c1 = (2,),
+    of index 2), end in one error record, not in a ball of another group."""
+    ext = _write(tmp_path, "ext.group",
+                 f"kind=central_extension charges={charges} constants_radius=2 budget=1000")
+    assert run_command(["ball", "--group", ext, "--radius", "1"]) == 1
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1
+    record = json.loads(out)
+    assert (record["error"], record["field"]) == ("InvalidValue", "charges")

@@ -160,8 +160,8 @@ def test_profile_equals_search_on_every_pair(make, radius, ms):
 ], ids=["nil_hex", "sol"])
 def test_profile_searches_only_undecided_pairs(monkeypatch, make, radius, searches):
     calls = []
-    search = convexity.inside_path
-    monkeypatch.setattr(convexity, "inside_path",
+    search = convexity.inside_distance
+    monkeypatch.setattr(convexity, "inside_distance",
                         lambda *args, **kw: calls.append(1) or search(*args, **kw))
     ac_profile(build_ball(make(), radius), 2)
     assert len(calls) == searches

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 
@@ -5,9 +6,10 @@ import pytest
 
 from cayleyac.convexity import ac_profile, compare_witness
 from cayleyac.explorer import (UNKNOWN, Ball, ElementAbsent, RadiusUnavailable,
-                               build_ball, cached_ball, inside_path,
-                               sphere_pair_lengths, sphere_pairs)
+                               build_ball, cached_ball, inside_distance,
+                               inside_path, sphere_pair_counts, sphere_pairs)
 from cayleyac.extensions import CentralExtension
+from cayleyac.finite_ext import FiniteNilExtension, klein_bottle_config
 from cayleyac.groups import FreeGroup, IntegerLattice
 from cayleyac.nil import NilGenSet, NilGroup
 from cayleyac.sol import SolLattice
@@ -155,25 +157,58 @@ def test_graph_walks_multiply_nothing(make):
 ], ids=["nil_hex", "sol", "surface2", "central"])
 @pytest.mark.parametrize("m", [2, 3])
 def test_pair_lengths_agree_with_pairs_and_search(make, m):
-    """The length-only walk finds the pairs of sphere_pairs at the lengths
-    of their connectors, flags exactly the pairs whose inside distance is
-    their distance, and multiplies nothing once the graph is built."""
+    """The per-vertex walk covers the pairs of sphere_pairs at the lengths
+    of their connectors: it counts by (i, d) exactly the pairs whose
+    inside distance is their distance, lists the others, and multiplies
+    nothing once the graph is built."""
     group = make()
     ball = build_ball(group, 3)
     ball.graph((m + 1) // 2 - 1)  # the depth the walks need at n = radius
     calls = []
     multiply = group.multiply
     group.multiply = lambda u, v: calls.append(1) or multiply(u, v)
-    walks = [list(sphere_pair_lengths(ball, n, m)) for n in range(ball.radius + 1)]
+    walks = [list(sphere_pair_counts(ball, n, m)) for n in range(ball.radius + 1)]
     assert not calls
     group.multiply = multiply
     for n, walk in enumerate(walks):
-        assert ({(i, j, d) for i, j, d, _inside in walk}
-                == {(i, j, len(q)) for i, j, q in sphere_pairs(ball, n, m)})
-        assert len(walk) == len({(i, j) for i, j, _d, _inside in walk})
-        for i, j, d, inside in walk:
-            assert inside == (len(inside_path(ball, i, j, n)) == d)
-    assert any(inside for walk in walks for *_, inside in walk)
+        assert [i for i, _counts, _undecided in walk] == list(ball.sphere(n))
+        assert all(len(counts) == m for _i, counts, _undecided in walk)
+        counted = collections.Counter()
+        listed = []
+        for i, j, q in sphere_pairs(ball, n, m):
+            d = len(q)
+            if len(inside_path(ball, i, j, n)) == d:
+                counted[i, d] += 1
+            else:
+                listed.append((i, j, d))
+        assert {(i, d): count for i, counts, _undecided in walk
+                for d, count in enumerate(counts, start=1) if count} == counted
+        assert sorted((i, j, d) for i, _counts, undecided in walk
+                      for j, d in undecided) == sorted(listed)
+    assert any(any(counts) for walk in walks for _i, counts, _undecided in walk)
+
+
+@pytest.mark.parametrize("make, radius", [
+    (lambda: NilGroup(1, NilGenSet("hexagonal", include_z=False)), 4),
+    (lambda: SolLattice(((2, 1), (1, 1))), 4),
+    (lambda: FiniteNilExtension(klein_bottle_config()), 3),
+    (lambda: SurfaceGroup(2), 3), (lambda: _central_extension(), 3),
+], ids=["nil_hex", "sol", "klein", "surface2", "central"])
+def test_inside_distance_is_inside_path_length(make, radius):
+    """On every sphere pair at distance <= 4, the length-only search returns
+    the length of the inside path, and None exactly where the path search
+    gives up under a small cap."""
+    ball = build_ball(make(), radius)
+    capped = 0
+    for n in range(radius + 1):
+        for i, j, _q in sphere_pairs(ball, n, 4):
+            path = inside_path(ball, i, j, n)
+            assert inside_distance(ball, i, j, n) == len(path)
+            short = inside_path(ball, i, j, n, cap=3)
+            assert inside_distance(ball, i, j, n, cap=3) == (
+                None if short is None else len(short))
+            capped += short is None
+    assert capped and inside_distance(ball, 0, 0, 0) == 0
 
 
 @pytest.mark.parametrize("make, radius", [
