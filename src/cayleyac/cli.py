@@ -197,18 +197,20 @@ def build_group(spec: GroupSpecFile):
         radius = optional_int("constants_radius", 4, least=1)
         budget = optional_int("budget", 10 ** 6, least=0)
         seed = optional_int("constants_seed", 7)
+        # every central letter is a multiple of the relator charge c, which
+        # is itself a letter: the letters span Z c, of index |c| in Z^1 and
+        # of infinite index (0) in Z^rank for rank >= 2
+        index = abs(charges[0]) if len(charges) == 1 else 0
+        if index != 1:
+            size = f"index {index}" if index else "infinite index"
+            raise _err("InvalidValue", f"the central letters generate a subgroup of "
+                       f"{size} in Z^{len(charges)}, not all of it", "charges")
         base = SurfaceGroup(genus)
         ball = build_ball(base, radius)
         quasi = measure_quasi_constants(base, base.dehn, ball, radius,
                                         samples=200, seed=seed)
-        group = CentralExtension(base, {base.relator: tuple(charges)},
-                                 rank=len(charges), quasi=quasi, budget=budget)
-        index = group.central_index()
-        if index != 1:
-            size = f"index {index}" if index else "infinite index"
-            raise _err("InvalidValue", f"the central letters generate a subgroup of "
-                       f"{size} in Z^{group.rank}, not all of it", "charges")
-        return group
+        return CentralExtension(base, {base.relator: tuple(charges)},
+                                rank=len(charges), quasi=quasi, budget=budget)
 
     if kind == "finite_extension":
         from .finite_ext import BUILTIN_CONFIGS, FiniteNilExtension

@@ -134,8 +134,8 @@ def ac_profile(ball: Ball, m: int, n_max: Optional[int] = None,
     d, the pairs joined by a geodesic inside B(n): their inside distance is
     exactly d, since no path is shorter than d, so a row adds up these
     counts with no work per pair (one with d over the cap counts as
-    absent).  Only the other pairs run the length-only bidirectional
-    search (``inside_distance``), capped at 4n + 64.  Raises ValueError for
+    absent).  Only the other pairs run the bidirectional search
+    (``inside_distance``), capped at 4n + 64.  Raises ValueError for
     m < 1."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")

@@ -15,8 +15,10 @@ edge multiplied once, to full rows of B(n) for the search at n and of
 B(n + ceil(m/2) - 1) for the pair walks.  Pairs are found by index walks
 over that graph, with no multiply per pair.  The length-only walk counts,
 per sphere vertex and distance, the pairs joined by a geodesic inside B(n)
-and lists the rest, which ``inside_distance`` measures by the search of
-``inside_path`` without its readback.
+and lists the rest for ``inside_distance``.  ``inside_distance`` and
+``inside_path`` share one bidirectional search through B(n), which keeps
+one parent per visited node and stops at the first meeting; the distance is
+its length, the path the word read back from the meeting node.
 """
 
 from __future__ import annotations
@@ -413,104 +415,30 @@ def sphere_pair_counts(
         yield i, counts, undecided
 
 
-def inside_path(ball: Ball, i: int, j: int, n: int,
-                cap: Optional[int] = None) -> Optional[Word]:
-    """Shortest word labelling a path from element i to element j all of
-    whose vertices satisfy l <= n; None when no such path exists within the
-    cap (default 4n + 64).  Bidirectional level-synchronous search with
-    deterministic readback."""
-    if n > ball.radius:
-        raise RadiusUnavailable(f"ball radius {ball.radius} < {n}")
-    if cap is None:
-        cap = 4 * n + 64
-    if i == j:
-        return ()
-    rows = ball.graph(n - ball.radius)
-    stop = ball.sphere(n).stop  # ids below it are exactly B(n)
-    names = ball.gen_names
-    inv_gen = ball.inverse_gens
-
-    fwd = {i: (None, None, 0)}  # node -> (prev node, edge generator, depth)
-    bwd = {j: (None, None, 0)}
-    f_frontier, b_frontier = [i], [j]
-    df = db = 0
-    capped = False
-    best: Optional[tuple[int, int]] = None  # (total length, meet node)
-
-    def expand(frontier, visited, other):
-        nonlocal best
-        new = []
-        for u in frontier:
-            du = visited[u][2]
-            for gi, v in enumerate(rows[u]):
-                if v >= stop or v in visited:
-                    continue
-                visited[v] = (u, gi, du + 1)
-                new.append(v)
-                hit = other.get(v)
-                if hit is not None:
-                    cand = (du + 1 + hit[2], v)
-                    if best is None or cand < best:
-                        best = cand
-        return new
-
-    while f_frontier or b_frontier:
-        if best is not None and best[0] <= df + db:
-            break
-        if df + db >= cap:
-            capped = True
-            break
-        if (len(f_frontier) <= len(b_frontier) and f_frontier) or not b_frontier:
-            f_frontier = expand(f_frontier, fwd, bwd)
-            df += 1
-        else:
-            b_frontier = expand(b_frontier, bwd, fwd)
-            db += 1
-
-    if best is None or best[0] > cap:
-        if not capped and best is None:
-            # both searches exhausted their components: the induced subgraph
-            # on the ball would have to be disconnected, which cannot happen
-            # (parent chains connect everything to the identity)
-            raise RuntimeError(f"ball subgraph disconnected between {i} and {j}")
-        return None
-    meet = best[1]
-    left: list[str] = []
-    u = meet
-    while fwd[u][0] is not None:
-        prev, gi, _ = fwd[u]
-        left.append(names[gi])
-        u = prev
-    left.reverse()
-    right: list[str] = []
-    u = meet
-    while bwd[u][0] is not None:
-        prev, gi, _ = bwd[u]
-        right.append(names[inv_gen[gi]])
-        u = prev
-    return tuple(left) + tuple(right)
-
-
-def inside_distance(ball: Ball, i: int, j: int, n: int,
-                    cap: Optional[int] = None) -> Optional[int]:
-    """Length of ``inside_path(ball, i, j, n, cap)``, by the same search
-    with visited sets only: no parent edges and no readback.
+def _inside_search(
+    ball: Ball, i: int, j: int, n: int, cap: Optional[int],
+) -> Optional[tuple[int, int, dict, dict]]:
+    """Bidirectional level-synchronous search from elements i and j through
+    B(n), expanding the smaller frontier.  Returns (length, meet, fwd, bwd)
+    at the first meeting, where fwd and bwd map each node a side visited to
+    the node it was reached from (None at i and at j); None when the length
+    would exceed the cap (default 4n + 64).
 
     Until the first meeting the two visited sets are disjoint, and every
     node of the other side at less than its frontier depth has been
     expanded, so its neighbours in B(n) are already on that side.  A new
     node that the expanding side meets therefore lies on the other side's
     frontier, and every meeting of that level gives the same total: the
-    first one is returned."""
+    first one is a shortest path."""
     if n > ball.radius:
         raise RadiusUnavailable(f"ball radius {ball.radius} < {n}")
     if cap is None:
         cap = 4 * n + 64
+    fwd, bwd = {i: None}, {j: None}
     if i == j:
-        return 0
+        return 0, i, fwd, bwd
     rows = ball.graph(n - ball.radius)
     stop = ball.sphere(n).stop  # ids below it are exactly B(n)
-    fwd, bwd = {i}, {j}
     f_frontier, b_frontier = [i], [j]
     depth = 0  # forward depth + backward depth
     while f_frontier or b_frontier:
@@ -525,13 +453,50 @@ def inside_distance(ball: Ball, i: int, j: int, n: int,
         for u in frontier:
             for v in rows[u]:
                 if v < stop and v not in visited:
+                    visited[v] = u
                     if v in other:
-                        return depth
-                    visited.add(v)
+                        return depth, v, fwd, bwd
                     new.append(v)
         if forward:
             f_frontier = new
         else:
             b_frontier = new
-    # see inside_path: parent chains connect the ball's subgraph
+    # both searches exhausted their components: the induced subgraph on the
+    # ball would have to be disconnected, which cannot happen (parent chains
+    # connect everything to the identity)
     raise RuntimeError(f"ball subgraph disconnected between {i} and {j}")
+
+
+def inside_path(ball: Ball, i: int, j: int, n: int,
+                cap: Optional[int] = None) -> Optional[Word]:
+    """Shortest word labelling a path from element i to element j all of
+    whose vertices satisfy l <= n; None when no such path exists within the
+    cap (default 4n + 64).  The word is read back from the first meeting of
+    the bidirectional search."""
+    found = _inside_search(ball, i, j, n, cap)
+    if found is None:
+        return None
+    _length, meet, fwd, bwd = found
+    rows = ball.graph(n - ball.radius)
+    names = ball.gen_names
+    word: list[str] = []
+    v = meet
+    while fwd[v] is not None:  # back toward i
+        u = fwd[v]
+        word.append(names[rows[u].index(v)])
+        v = u
+    word.reverse()
+    u = meet
+    while bwd[u] is not None:  # on toward j
+        v = bwd[u]
+        word.append(names[rows[u].index(v)])
+        u = v
+    return tuple(word)
+
+
+def inside_distance(ball: Ball, i: int, j: int, n: int,
+                    cap: Optional[int] = None) -> Optional[int]:
+    """Length of ``inside_path(ball, i, j, n, cap)``, by the same search
+    with no readback."""
+    found = _inside_search(ball, i, j, n, cap)
+    return None if found is None else found[0]

@@ -160,28 +160,6 @@ class CentralExtension(GroupInterface):
                 frontier_elems = nxt_elems
         return CentralAlphabet(values=tuple(sorted(values)), truncated=truncated)
 
-    def central_index(self) -> int:
-        """Index in Z^rank of the subgroup the central letters generate, 0
-        when it is infinite.  The generating set generates the group only
-        when the index is 1."""
-        rows = [list(vec) for _, vec in self.central.letter_pairs()]
-        index = 1
-        for col in range(self.rank):
-            # Euclid on this column until one row is left nonzero in it
-            live = [row for row in rows if row[col]]
-            while len(live) > 1:
-                pivot = min(live, key=lambda row: abs(row[col]))
-                for row in live:
-                    if row is not pivot:
-                        q = row[col] // pivot[col]
-                        row[:] = [a - q * b for a, b in zip(row, pivot)]
-                live = [row for row in live if row[col]]
-            if not live:
-                return 0
-            index *= abs(live[0][col])
-            rows = [row for row in rows if not row[col]]
-        return index
-
     # -- group interface ------------------------------------------------------
 
     @property

@@ -1,11 +1,10 @@
 """Lattice-path projections of Heisenberg words and the exact area oracles:
 shoelace signed area on the square lattice, signed black-triangle count on
-the triangular lattice.  Everything is integer arithmetic; the triangle
-winding numbers use 3x-scaled coordinates so centroids become integers."""
+the triangular lattice from the shoelace area and the balance of diagonal
+steps.  Everything is integer arithmetic."""
 
 from __future__ import annotations
 
-from collections import defaultdict
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -39,66 +38,38 @@ def path_vertices(word: Sequence[str], steps=None) -> list[tuple[int, int]]:
     return verts
 
 
+def _twice_area(verts: list[tuple[int, int]]) -> int:
+    """Shoelace sum of a closed path's vertices: twice its signed area."""
+    if verts[-1] != (0, 0):
+        raise NotClosed(f"endpoint {verts[-1]}")
+    return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(verts, verts[1:]))
+
+
 def signed_area(word: Sequence[str]) -> int:
     """Shoelace signed area of a closed square-lattice word, counterclockwise
     positive, in unit squares."""
-    verts = path_vertices(word, SQUARE_STEPS)
-    if verts[-1] != (0, 0):
-        raise NotClosed(f"endpoint {verts[-1]}")
-    twice = 0
-    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-        twice += x0 * y1 - x1 * y0
+    twice = _twice_area(path_vertices(word, SQUARE_STEPS))
     assert twice % 2 == 0
     return twice // 2
 
 
 def black_triangle_count(word: Sequence[str]) -> int:
     """Signed number of black triangles enclosed by a closed word on the
-    triangular lattice (steps x, y, t=x+y and inverses).
+    triangular lattice (steps x, y, t=x+y and inverses), each counted with
+    the path's winding number around it.
 
     The unit cell [i,i+1]x[j,j+1] splits along its diagonal into a white
-    triangle (boundary x y t-) and a black one (boundary t x- y-).  The count
-    is the sum over black triangles of the winding number of the path around
-    the triangle's centroid (i+1/3, j+2/3), computed by exact scanline ray
-    casting.  A counterclockwise circuit around one black triangle gives +1.
+    triangle (boundary x y t-) and a black one (boundary t x- y-); a
+    counterclockwise circuit around one black triangle gives +1.  Each
+    triangle has area 1/2, so the winding-weighted counts satisfy
+    B + W = 2A, twice the shoelace area.  The edge weights t = 1, x = y = 0
+    sum to +1 around a black triangle and to -1 around a white one, so
+    B - W = #t - #t-.  Hence B = (2A + #t - #t-) / 2.
     """
-    verts = path_vertices(word, HEX_STEPS)
-    if verts[-1] != (0, 0):
-        raise NotClosed(f"endpoint {verts[-1]}")
-    if len(verts) == 1:
-        return 0
-    xs = [v[0] for v in verts]
-    lo_x, hi_x = min(xs), max(xs)
-
-    # Crossings of the horizontal line y = j + 2/3, grouped per row j.
-    # Horizontal edges never cross it; vertical edges cross at x = p (scaled
-    # 3p); diagonal edges (slope +1 in either direction) cross at x = p + 2/3
-    # (scaled 3p+2) where p is the smaller x end.  Direction +1 when the edge
-    # goes upward.
-    rows: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-        if y1 == y0:
-            continue
-        direction = 1 if y1 > y0 else -1
-        j = min(y0, y1)
-        if x1 == x0:
-            rows[j].append((3 * x0, direction))
-        else:
-            rows[j].append((3 * min(x0, x1) + 2, direction))
-
-    total = 0
-    for crossings in rows.values():
-        crossings.sort(reverse=True)
-        ptr = 0
-        running = 0
-        # black centroid of cell i sits at scaled x = 3i+1; sweep right to left
-        for i in range(hi_x - 1, lo_x - 1, -1):
-            px = 3 * i + 1
-            while ptr < len(crossings) and crossings[ptr][0] > px:
-                running += crossings[ptr][1]
-                ptr += 1
-            total += running
-    return total
+    doubled = (_twice_area(path_vertices(word, HEX_STEPS))
+               + word.count("t") - word.count("t-"))
+    assert doubled % 2 == 0
+    return doubled // 2
 
 
 def loop_enclosing_area(area: int) -> Word:
@@ -186,23 +157,8 @@ def hexagon_boundary_word(sides: Sequence[int]) -> Word:
 
 
 def hexagon_black_count(sides: Sequence[int]) -> int:
-    """Black-triangle count of a convex axial hexagon, in closed form:
-    shoelace area plus half the diagonal-side imbalance."""
-    s1, s2, s3, s4, s5, s6 = sides
-    verts = [(0, 0)]
-    x = y = 0
-    for (dx, dy), s in zip([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
-                           (s1, s2, s3, s4, s5, s6)):
-        x += dx * s
-        y += dy * s
-        verts.append((x, y))
-    assert verts[-1] == (0, 0), "side tuple does not close"
-    twice = 0
-    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-        twice += x0 * y1 - x1 * y0
-    doubled = twice + (s2 - s5)
-    assert doubled % 2 == 0
-    return doubled // 2
+    """Black-triangle count of a convex axial hexagon."""
+    return black_triangle_count(hexagon_boundary_word(sides))
 
 
 def max_hexagon_black_count(perimeter: int) -> int:

@@ -232,3 +232,22 @@ def test_central_letters_must_generate_the_centre(tmp_path, capsys, charges):
     assert len(out.splitlines()) == 1
     record = json.loads(out)
     assert (record["error"], record["field"]) == ("InvalidValue", "charges")
+
+
+@pytest.mark.parametrize("charges, size", [
+    ("[0]", "infinite index in Z^1"), ("[0,1]", "infinite index in Z^2"),
+    ("[2]", "index 2 in Z^1"),
+])
+def test_central_charges_refused_before_any_ball(monkeypatch, charges, size):
+    """The central letters span the multiples of the relator charge, so a
+    charge list that cannot generate the centre is refused from the charges
+    alone, at the default budget, before a surface ball is built."""
+    def no_ball(*args):
+        raise AssertionError("a ball was built")
+
+    monkeypatch.setattr(cli, "build_ball", no_ball)
+    with pytest.raises(GroupSpecError) as info:
+        build_group(parse_group_spec(f"kind=central_extension charges={charges}"))
+    assert info.value.record() == {
+        "error": "InvalidValue", "field": "charges",
+        "detail": f"the central letters generate a subgroup of {size}, not all of it"}

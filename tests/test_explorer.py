@@ -188,6 +188,22 @@ def test_pair_lengths_agree_with_pairs_and_search(make, m):
     assert any(any(counts) for walk in walks for _i, counts, _undecided in walk)
 
 
+def _reference_inside_distance(rows, stop, i, j):
+    """Distance from i to j in the graph restricted to ids below stop, by a
+    plain breadth-first search from i."""
+    dist = {i: 0}
+    level = [i]
+    while j not in dist:
+        nxt = []
+        for u in level:
+            for v in rows[u]:
+                if 0 <= v < stop and v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        level = nxt
+    return dist[j]
+
+
 @pytest.mark.parametrize("make, radius", [
     (lambda: NilGroup(1, NilGenSet("hexagonal", include_z=False)), 4),
     (lambda: SolLattice(((2, 1), (1, 1))), 4),
@@ -195,18 +211,28 @@ def test_pair_lengths_agree_with_pairs_and_search(make, m):
     (lambda: SurfaceGroup(2), 3), (lambda: _central_extension(), 3),
 ], ids=["nil_hex", "sol", "klein", "surface2", "central"])
 def test_inside_distance_is_inside_path_length(make, radius):
-    """On every sphere pair at distance <= 4, the length-only search returns
-    the length of the inside path, and None exactly where the path search
-    gives up under a small cap."""
+    """On every sphere pair at distance <= 4, the inside distance and the
+    inside path's length equal a one-directional breadth-first search's,
+    the path walks from i to j over the graph without leaving B(n), and
+    both give None exactly where a small cap cuts the path off."""
     ball = build_ball(make(), radius)
     capped = 0
     for n in range(radius + 1):
+        rows = ball.graph(n - radius)
+        stop = ball.sphere(n).stop
         for i, j, _q in sphere_pairs(ball, n, 4):
+            dist = _reference_inside_distance(rows, stop, i, j)
             path = inside_path(ball, i, j, n)
-            assert inside_distance(ball, i, j, n) == len(path)
+            assert inside_distance(ball, i, j, n) == len(path) == dist
+            v = i
+            for letter in path:
+                v = rows[v][ball.gen_names.index(letter)]
+                assert v < stop
+            assert v == j
             short = inside_path(ball, i, j, n, cap=3)
             assert inside_distance(ball, i, j, n, cap=3) == (
                 None if short is None else len(short))
+            assert (short is None) == (dist > 3)
             capped += short is None
     assert capped and inside_distance(ball, 0, 0, 0) == 0
 

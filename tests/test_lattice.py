@@ -92,10 +92,16 @@ def test_max_rectangle_area():
 
 
 def test_hexagon_black_count_matches_general_oracle():
-    for perimeter in range(0, 13):
-        for sides in hexagon_side_tuples(perimeter):
-            word = hexagon_boundary_word(sides)
-            assert hexagon_black_count(sides) == black_triangle_count(word)
+    """The hexagon count equals the fiber coordinate of its boundary word
+    in the hexagonal Nil lattice, divided by e: an oracle that does not use
+    the closed form."""
+    for e in (1, 2):
+        g = NilGroup(e, NilGenSet("hexagonal", include_z=False))
+        for perimeter in range(0, 13):
+            for sides in hexagon_side_tuples(perimeter):
+                a, b, t = g.evaluate(hexagon_boundary_word(sides))
+                assert (a, b) == (0, 0)
+                assert e * hexagon_black_count(sides) == t
 
 
 def test_max_hexagon_values():

@@ -7,6 +7,8 @@ import random
 import sys
 from pathlib import Path
 
+from cayleyac.cli import build_group, parse_group_spec
+from cayleyac.convexity import ac_profile
 from cayleyac.explorer import build_ball
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -66,3 +68,28 @@ def test_constants_triangle_outputs_match_reference(monkeypatch, tmp_path):
         for name in ("workloads", "tracing"):
             sys.modules.pop(name, None)
     assert checks.attempted > 3 * 6 and checks.failures == []
+
+
+def test_ac_table_replay_rows_match_ac_profile(monkeypatch, tmp_path):
+    """A traced ac-table run replays ac_profile's work through
+    Ball.adjacency, sphere_pairs and inside_path(cap=); on small hex and Sol
+    balls written where the workload reads them, the replayed rows equal
+    ac_profile's."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+        workload = workloads.AcTable(0, str(tmp_path), {})
+        replayed, profiled = {}, {}
+        # the workload's hex and Sol groups, on smaller balls
+        for (key, text, _radius), radius in zip(workload.GROUPS, (6, 5)):
+            group = build_group(parse_group_spec(text))
+            ball = build_ball(group, radius)
+            ball.write(str(tmp_path / f"{key}.ball"))
+            profiled[key] = ac_profile(ball, workload.M, radius).rows
+            replayed[key] = workload._replay(workloads.NoTrace(), key, group, radius)
+    finally:
+        for name in ("workloads", "tracing"):
+            sys.modules.pop(name, None)
+    assert replayed == profiled
+    # both tables have pairs whose inside distance only the search finds
+    assert all(max(row.k_max for row in rows) > 2 for rows in profiled.values())
