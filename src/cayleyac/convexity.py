@@ -1,6 +1,6 @@
 """Almost-convexity measurement: K(m,n) profiles, higher-m consistency
-reports, generating-set transfer checks, and validation of constructive
-witness paths against the breadth-first optimum."""
+reports, generating-set transfer checks, and the check of constructive
+witness paths on the ball's Cayley graph, next to the inside optimum."""
 
 from __future__ import annotations
 
@@ -18,6 +18,10 @@ class ConstructionEscapedBall(AssertionError):
     """A constructive witness path left the ball it must stay inside."""
 
 
+class PreconditionViolated(ValueError):
+    """A witness construction was asked for a pair outside its hypotheses."""
+
+
 @dataclass(frozen=True)
 class ProfileRow:
     n: int
@@ -29,6 +33,22 @@ class ProfileRow:
     @property
     def mean(self) -> float:
         return self.total_len / self.pairs if self.pairs else 0.0
+
+
+_CSV_HEADER = ["group", "gens", "m", "n", "pairs", "K", "mean", "absent_under_cap"]
+
+
+def _profile_row(n, pairs, k_max, mean, absent) -> ProfileRow:
+    """A row from the fields of a profile file, with the total length
+    recovered from the mean; ValueError for a field that is not a number."""
+    try:
+        count = int(pairs)
+        return ProfileRow(n=int(n), pairs=count, k_max=int(k_max),
+                          total_len=round(float(mean) * count),
+                          absent_under_cap=int(absent))
+    except (TypeError, ValueError):
+        raise ValueError(f"profile row field is not a number: "
+                         f"{[n, pairs, k_max, mean, absent]}") from None
 
 
 @dataclass
@@ -57,7 +77,7 @@ class ConvexityProfile:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["group", "gens", "m", "n", "pairs", "K", "mean", "absent_under_cap"])
+        writer.writerow(_CSV_HEADER)
         for r in self.rows:
             writer.writerow(
                 [self.group, self.gens, self.m, r.n, r.pairs, r.k_max,
@@ -86,43 +106,38 @@ class ConvexityProfile:
 
     @classmethod
     def from_csv(cls, text: str) -> "ConvexityProfile":
+        """Inverse of ``to_csv``; ValueError names what is malformed."""
         rows = list(csv.reader(io.StringIO(text)))
+        if not rows:
+            raise ValueError("empty profile file")
         header, body = rows[0], rows[1:]
-        expected = ["group", "gens", "m", "n", "pairs", "K", "mean", "absent_under_cap"]
-        if header != expected:
+        if header != _CSV_HEADER:
             raise ValueError(f"bad profile header: {header}")
         if not body:
             raise ValueError("empty profile")
-        prof = cls(group=body[0][0], gens=body[0][1], m=int(body[0][2]), cap_rule="")
         for rec in body:
-            pairs = int(rec[4])
-            mean = float(rec[6])
-            prof.rows.append(
-                ProfileRow(
-                    n=int(rec[3]),
-                    pairs=pairs,
-                    k_max=int(rec[5]),
-                    total_len=round(mean * pairs),
-                    absent_under_cap=int(rec[7]),
-                )
-            )
+            if len(rec) != len(_CSV_HEADER):
+                raise ValueError(f"profile row has {len(rec)} fields, not "
+                                 f"{len(_CSV_HEADER)}: {rec}")
+        prof = cls(group=body[0][0], gens=body[0][1], m=int(body[0][2]), cap_rule="")
+        prof.rows = [_profile_row(*rec[3:]) for rec in body]
         return prof
 
     @classmethod
     def from_json(cls, text: str) -> "ConvexityProfile":
+        """Inverse of ``to_json``; ValueError names what is malformed."""
         payload = json.loads(text)
-        prof = cls(group=payload["group"], gens=payload["gens"], m=payload["m"],
-                   cap_rule=payload.get("cap_rule", ""))
-        for rec in payload["rows"]:
-            prof.rows.append(
-                ProfileRow(
-                    n=rec["n"],
-                    pairs=rec["pairs"],
-                    k_max=rec["K"],
-                    total_len=round(rec["mean"] * rec["pairs"]),
-                    absent_under_cap=rec["absent_under_cap"],
-                )
-            )
+        try:
+            prof = cls(group=payload["group"], gens=payload["gens"], m=payload["m"],
+                       cap_rule=payload.get("cap_rule", ""))
+            prof.rows = [_profile_row(rec["n"], rec["pairs"], rec["K"], rec["mean"],
+                                      rec["absent_under_cap"])
+                         for rec in payload["rows"]]
+        except KeyError as exc:
+            raise ValueError(f"profile JSON has no field {exc}") from None
+        except TypeError:
+            raise ValueError("a profile JSON is an object with a list of row "
+                             "objects") from None
         return prof
 
 
@@ -237,19 +252,18 @@ def transfer_verdict(profile_a: ConvexityProfile, profile_b: ConvexityProfile,
 
 
 def compare_witness(ball: Ball, n: int, m: int,
-                    witness: Callable[[int, int, Sequence[str]], Sequence[str]],
-                    bound: Optional[int] = None) -> dict:
+                    witness: Callable[[int, int, Sequence[str]], Sequence[str]]) -> dict:
     """Drive a constructive witness-path operation over every sphere-n pair
-    and hard-check it never leaves the ball; record its worst length against
-    the inside optimum and an optional declared bound.  The optimum is
-    len(q) when the connector q of ``sphere_pairs`` stays inside B(n), and
-    the length the bidirectional search ``inside_distance`` finds
-    otherwise."""
+    (i, j, q) of ``sphere_pairs`` and check on the Cayley graph's rows that
+    each word it returns runs from i to j inside B(n); raises
+    ConstructionEscapedBall otherwise.  Reports the number of pairs and the
+    worst witness length next to the worst inside optimum.  The optimum is
+    len(q) when the connector q stays inside B(n), and the length the
+    bidirectional search ``inside_distance`` finds otherwise."""
     stop = ball.sphere(n).stop  # ids below it are exactly B(n)
     rows = ball.graph(n - ball.radius)
     gen_index = {name: gi for gi, name in enumerate(ball.gen_names)}
-    report = {"n": n, "pairs": 0, "max_constructive": 0, "max_optimal": 0,
-              "bound": bound, "bound_ok": True}
+    report = {"n": n, "pairs": 0, "max_constructive": 0, "max_optimal": 0}
     for i, j, q in sphere_pairs(ball, n, m):
         word = tuple(witness(i, j, q))
         v = i
@@ -275,6 +289,4 @@ def compare_witness(ball: Ball, n: int, m: int,
         report["pairs"] += 1
         report["max_constructive"] = max(report["max_constructive"], len(word))
         report["max_optimal"] = max(report["max_optimal"], optimal)
-    if bound is not None and report["max_constructive"] > bound:
-        report["bound_ok"] = False
     return report

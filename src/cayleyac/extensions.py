@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from operator import add
 from typing import Mapping, Optional, Sequence
 
+from .convexity import PreconditionViolated
 from .dehn import QuasiConstants, close_dehn_with_charges, d_reduce_with_charges
 from .groups import GroupInterface, pack_ints, unpack_ints
 from .words import Word, word_inverse
@@ -276,10 +277,6 @@ class CentralExtension(GroupInterface):
         return self.central_geodesic(_vec_add(vec, consumed)) + reduced
 
 
-class PreconditionViolated(ValueError):
-    pass
-
-
 def central_witness_path(group: CentralExtension, ball, base_ball,
                          g: ExtElement, g_prime: ExtElement, q: Word, n: int) -> Word:
     """A word from g to g' through the radius-n ball, for sphere-n elements
@@ -289,26 +286,33 @@ def central_witness_path(group: CentralExtension, ball, base_ball,
     the other geodesic with a short base path, correct with a central
     geodesic, then run forward.  When both elements are central the central
     letters alone connect them (the central subgroup embeds isometrically).
+
+    q is checked by a walk over the graph with full rows of B(n).  Only its
+    second letter can start outside B(n), on sphere n+1, whose edges back
+    into B(n) the graph holds; an entry it lacks is UNKNOWN, no vertex.  So
+    the walk ends at g' exactly when g * eval(q) = g'.
     """
     if len(q) > 2:
         raise PreconditionViolated("connector longer than 2")
-    if ball.length_of(g) != n or ball.length_of(g_prime) != n:
+    i, j = ball.find(g), ball.find(g_prime)
+    if ball.lengths[i] != n or ball.lengths[j] != n:
         raise PreconditionViolated("endpoints must lie on the sphere of radius n")
-    if not group.element_equal(group.multiply(g, group.evaluate(q)), g_prime):
+    rows = ball.graph(n - ball.radius)
+    end = i
+    for letter in q:
+        end = rows[end][group.alphabet.index(letter)]
+    if end != j:
         raise PreconditionViolated("g' != g * eval(q)")
-    if group.element_equal(g, g_prime):
+    if i == j:
         return ()
     k = group.quasi.k_of_m.get(2, 1) if group.quasi else 1
 
-    w = group.to_dreduced_shape(ball.geodesic_witness(g))
-    w_prime = group.to_dreduced_shape(ball.geodesic_witness(g_prime))
-    vec_u, v = group.split_central(w)
-    vec_u2, v_prime = group.split_central(w_prime)
+    vec_u, v = group.split_central(group.to_dreduced_shape(ball.geodesic_witness(i)))
+    vec_u2, v_prime = group.split_central(group.to_dreduced_shape(ball.geodesic_witness(j)))
 
     if not v and not v_prime:
         # both central: travel inside the central subgroup
-        diff = group.multiply(group.invert(g), g_prime)
-        return group.central_geodesic(diff.avec)
+        return group.central_geodesic(_vec_add(vec_u2, _vec_neg(vec_u)))
     if len(v) < len(v_prime):
         reverse = central_witness_path(group, ball, base_ball, g_prime, g,
                                        word_inverse(q, group.alphabet), n)
@@ -317,14 +321,16 @@ def central_witness_path(group: CentralExtension, ball, base_ball,
     back = min(k + 1, len(v))
     x, y = v[:len(v) - back], v[len(v) - back:]
     base = group.base
-    bx = base.evaluate(x)
+    bx_inv = base.invert(base.evaluate(x))
 
     # crossing: shortest base path from eval(x) to a point on the other
     # projection, scanning prefixes of v' for the nearest
     best = None
+    prefix = base.identity
     for cut in range(len(v_prime) + 1):
-        bx2 = base.evaluate(v_prime[:cut])
-        diff = base.multiply(base.invert(bx), bx2)
+        if cut:
+            prefix = base.multiply(prefix, base.generator_images[v_prime[cut - 1]])
+        diff = base.multiply(bx_inv, prefix)
         try:
             dist = base_ball.length_of(diff)
         except KeyError:

@@ -1,7 +1,8 @@
 """Finite extensions 1 -> N^e -> G -> Z_k -> 1 assembled from an
 automorphism per quotient class, a cocycle table, and designated lift
-generators; the induced wallpaper quotient G/<z> comes along for the
-planar geodesy checks.
+generators; the induced wallpaper quotient G/<z>, whose product is the
+extension's product projected to the plane, comes along for the planar
+geodesy checks.
 
 Two verified built-in configurations ship: the Klein-bottle family (even e;
 the lift squares to x, conjugation sends y to (y z^{e/2})^{-1} and inverts
@@ -20,7 +21,7 @@ from typing import Optional
 
 from .groups import GroupInterface, pack_ints, unpack_ints
 from .nil import (NilElement, NilGenSet, NilGroup, SaturationSpec,
-                  nil_invert, nil_multiply, nil_power)
+                  nil_commutator, nil_invert, nil_multiply, nil_power)
 from .words import Alphabet, Word
 
 
@@ -45,14 +46,9 @@ class NilAutomorphism:
 
     def check(self) -> None:
         e = self.e
-
-        def comm(u, v):
-            p = nil_multiply(nil_invert(u, e), nil_invert(v, e), e)
-            return nil_multiply(nil_multiply(p, u, e), v, e)
-
-        assert comm(self.x_image, self.z_image) == (0, 0, 0)
-        assert comm(self.y_image, self.z_image) == (0, 0, 0)
-        assert comm(self.x_image, self.y_image) == nil_power(self.z_image, e, e), \
+        assert nil_commutator(self.x_image, self.z_image, e) == (0, 0, 0)
+        assert nil_commutator(self.y_image, self.z_image, e) == (0, 0, 0)
+        assert nil_commutator(self.x_image, self.y_image, e) == nil_power(self.z_image, e, e), \
             "generator images do not satisfy the presentation"
 
 
@@ -241,51 +237,37 @@ class FiniteNilExtension(GroupInterface):
             frontier = nxt
 
 
+def _lift(elem):
+    (a, b), q = elem
+    return ((a, b, 0), q)
+
+
+def _project(elem):
+    (a, b, _t), q = elem
+    return ((a, b), q)
+
+
 class WallpaperQuotient(GroupInterface):
-    """G/<z>: elements ((a,b), q) with the planar parts of the actions and
-    cocycle.  Generators are x, y and the lift letters."""
+    """G/<z>: elements ((a,b), q).  Generators are x, y and the lift
+    letters.  The product and inverse are those of the extension on the
+    lifts ((a,b,0), q), projected back: the centre <z> is normal, and the
+    planar part of a product does not depend on the fiber coordinates."""
 
     def __init__(self, ext: FiniteNilExtension):
         self.ext = ext
-        self.Q = ext.Q
-        self.matrices = {}
-        for q, phi in ext.actions.items():
-            xi, yi = phi.x_image, phi.y_image
-            self.matrices[q] = ((xi[0], yi[0]), (xi[1], yi[1]))
-        self.offsets = {qq: (c[0], c[1]) for qq, c in ext.cocycle.items()}
-        names = ["x", "y"] + list(ext.config.lifts)
-        self.alphabet = Alphabet(names)
-        self._images = {
-            "x": ((1, 0), 0),
-            "y": ((0, 1), 0),
-        }
-        self._images["x-"] = self.invert(self._images["x"])
-        self._images["y-"] = self.invert(self._images["y"])
-        for name, (fiber_part, q) in ext.config.lifts.items():
-            elem = ((fiber_part[0], fiber_part[1]), q % self.Q)
-            self._images[name] = elem
-            self._images[self.alphabet.inverse(name)] = self.invert(elem)
+        self.alphabet = Alphabet(["x", "y"] + list(ext.config.lifts))
+        self._images = {name: _project(ext.generator_images[name])
+                        for name in self.alphabet.names}
 
     @property
     def identity(self):
         return ((0, 0), 0)
 
-    def _act(self, q, v):
-        m = self.matrices[q]
-        return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
-
     def multiply(self, u, v):
-        (vu, qu), (vv, qv) = u, v
-        moved = self._act(qu, vv)
-        off = self.offsets[(qu, qv)]
-        return ((vu[0] + moved[0] + off[0], vu[1] + moved[1] + off[1]), (qu + qv) % self.Q)
+        return _project(self.ext.multiply(_lift(u), _lift(v)))
 
     def invert(self, u):
-        v, q = u
-        qbar = (-q) % self.Q
-        moved = self._act(qbar, v)
-        off = self.offsets[(qbar, q)]
-        return ((-moved[0] - off[0], -moved[1] - off[1]), qbar)
+        return _project(self.ext.invert(_lift(u)))
 
     @property
     def generator_images(self):

@@ -9,24 +9,27 @@ the extremal of its own shell.  Targets in other quadrants and below the
 base interval reduce to this by the lattice symmetries.
 
 Hexagonal case: the reachable fiber set over each base point is an interval;
-a length-indexed interval recurrence determines minimal length exactly and a
-backtrack through it produces a witness word.
+a length-indexed interval recurrence over the generator images of the
+hexagonal ``NilGroup`` determines minimal length exactly and a backtrack
+through it produces a witness word.
+
+Witness paths: ``witness_path_hex`` joins two sphere-n elements at distance
+<= 2 inside B(n) by the paper's recipe (back up, cross, correct the centre,
+run forward), evaluating every word in that same group.
 """
 
 from __future__ import annotations
 
+from .convexity import PreconditionViolated
 from .lattice import loop_enclosing_area
-from .nil import NilElement, nil_invert, nil_multiply
-from .words import Word, Alphabet, word_inverse
+from .nil import NilElement, NilGenSet, NilGroup
+from .words import Word, word_inverse
 
 
 class UnreachableElement(ValueError):
     """The element lies outside the subgroup the plain set generates
     (fiber coordinate not a multiple of e)."""
 
-
-_SQ_ALPHABET = Alphabet(["x", "y"])
-_HEX_ALPHABET = Alphabet(["x", "y", "t"])
 
 _MIRROR_X = {"x": "x-", "x-": "x", "y": "y", "y-": "y-"}
 _MIRROR_Y = {"x": "x", "x-": "x-", "y": "y-", "y-": "y"}
@@ -166,29 +169,6 @@ def square_length(g: NilElement, e: int = 1) -> int:
 # ---------------------------------------------------------------------------
 # Hexagonal case: interval recurrence over (position, length).
 
-# steps as (da, db); the fiber contribution of a step *arriving* at (a, b)
-# in area units: x adds -b, x- adds +b, t adds -(b-1), t- adds +b, y adds 0.
-_HEX_MOVES = (
-    ("x", (1, 0)),
-    ("x-", (-1, 0)),
-    ("y", (0, 1)),
-    ("y-", (0, -1)),
-    ("t", (1, 1)),
-    ("t-", (-1, -1)),
-)
-
-
-def _hex_delta(letter: str, b_arrival: int) -> int:
-    if letter == "x":
-        return -b_arrival
-    if letter == "x-":
-        return b_arrival
-    if letter == "t":
-        return -(b_arrival - 1)
-    if letter == "t-":
-        return b_arrival
-    return 0
-
 
 class HexGeodesicTable:
     """Reachable fiber intervals for every base point, indexed by word length.
@@ -197,10 +177,22 @@ class HexGeodesicTable:
     reachable from the origin by {x,y,t}-words of length <= L.  The interval
     property is inherited from the geometry; the backtracking would fail
     loudly if it broke.
+
+    The moves are the generator images (da, db, dt) of ``group``, taken in
+    alphabet order; the backtrack takes the first move that fits, so the
+    order fixes the word.  A move arriving at height b multiplies
+    (a, b - db, t) by its image, which adds (dt/e + da*db) - da*b to the
+    fiber in area units.
     """
 
     def __init__(self, e: int = 1):
         self.e = e
+        self.group = NilGroup(e, NilGenSet("hexagonal", include_z=False))
+        images = self.group.generator_images
+        # (letter, da, db, fiber constant in area units)
+        self.moves = tuple((name, da, db, dt // e + da * db)
+                           for name in self.group.alphabet.names
+                           for da, db, dt in (images[name],))
         self.layers: list[dict[tuple[int, int], tuple[int, int]]] = [{(0, 0): (0, 0)}]
 
     def grow_to(self, length: int):
@@ -208,9 +200,9 @@ class HexGeodesicTable:
             prev = self.layers[-1]
             nxt: dict[tuple[int, int], tuple[int, int]] = dict(prev)
             for (a, b), (lo, hi) in prev.items():
-                for letter, (da, db) in _HEX_MOVES:
+                for _letter, da, db, const in self.moves:
                     pos = (a + da, b + db)
-                    d = _hex_delta(letter, pos[1])
+                    d = const - da * pos[1]
                     cand = (lo + d, hi + d)
                     old = nxt.get(pos)
                     if old is None:
@@ -240,12 +232,12 @@ class HexGeodesicTable:
         val = A
         for budget in range(L, 0, -1):
             found = False
-            for letter, (da, db) in _HEX_MOVES:
+            for letter, da, db, const in self.moves:
                 prev_pos = (pos[0] - da, pos[1] - db)
                 iv = self.layers[budget - 1].get(prev_pos)
                 if iv is None:
                     continue
-                d = _hex_delta(letter, pos[1])
+                d = const - da * pos[1]
                 if iv[0] <= val - d <= iv[1]:
                     letters.append(letter)
                     pos = prev_pos
@@ -258,27 +250,18 @@ class HexGeodesicTable:
         return tuple(reversed(letters))
 
 
-def hex_geodesic(g: NilElement, e: int = 1, table: HexGeodesicTable | None = None) -> Word:
-    table = table or HexGeodesicTable(e)
-    return table.geodesic(g)
-
-
 def standard_geodesic(g: NilElement, kind: str = "square", e: int = 1,
                       table: HexGeodesicTable | None = None) -> Word:
     """Minimal-length word for g over the plain square or hexagonal set."""
     if kind == "square":
         return square_geodesic(g, e)
     if kind == "hexagonal":
-        return hex_geodesic(g, e, table)
+        return (table or HexGeodesicTable(e)).geodesic(g)
     raise ValueError(f"unknown kind: {kind}")
 
 
 # ---------------------------------------------------------------------------
 # Witness path between nearby sphere elements (hexagonal set).
-
-
-class PreconditionViolated(ValueError):
-    pass
 
 
 def hex_z2_geodesic(start: tuple[int, int], end: tuple[int, int]) -> Word:
@@ -305,23 +288,16 @@ def witness_path_hex(g: NilElement, g_prime: NilElement, r: Word, n: int,
     Below the split threshold the connection goes through the identity along
     standard geodesics.  Above it, the path backs up a length-``split`` tail,
     crosses between the truncated geodesics, inserts a central correction
-    loop for the enclosed area, and runs forward again.
+    loop for the enclosed area, and runs forward again.  Words are evaluated
+    in the table's hexagonal group.
     """
     table = table or HexGeodesicTable(e)
-    ln = table.length(g)
-    if ln != n or table.length(g_prime) != n:
+    group = table.group
+    if table.length(g) != n or table.length(g_prime) != n:
         raise PreconditionViolated("endpoints must lie on the sphere of radius n")
     if len(r) > 2:
         raise PreconditionViolated("connector longer than 2")
-    images = {
-        "x": (1, 0, 0), "x-": (-1, 0, 0),
-        "y": (0, 1, 0), "y-": (0, -1, 0),
-        "t": (1, 1, 0), "t-": nil_invert((1, 1, 0), e),
-    }
-    rv = (0, 0, 0)
-    for letter in r:
-        rv = nil_multiply(rv, images[letter], e)
-    if nil_multiply(g, rv, e) != g_prime:
+    if group.multiply(g, group.evaluate(r)) != g_prime:
         raise PreconditionViolated("g' != g * eval(r)")
     if g == g_prime:
         return ()
@@ -329,26 +305,20 @@ def witness_path_hex(g: NilElement, g_prime: NilElement, r: Word, n: int,
     w = table.geodesic(g)
     w_prime = table.geodesic(g_prime)
     if n <= split:
-        return word_inverse(w, _HEX_ALPHABET) + w_prime
+        return word_inverse(w, group.alphabet) + w_prime
 
     u, v = w[:-split], w[-split:]
     u_p, v_p = w_prime[:-split], w_prime[-split:]
-
-    def ev(word):
-        elem = (0, 0, 0)
-        for letter in word:
-            elem = nil_multiply(elem, images[letter], e)
-        return elem
-
-    ubar, ubar_p = ev(u), ev(u_p)
+    ubar, ubar_p = group.evaluate(u), group.evaluate(u_p)
     q = hex_z2_geodesic((ubar[0], ubar[1]), (ubar_p[0], ubar_p[1]))
     if len(q) > 50:
         raise PreconditionViolated(f"crossing path too long ({len(q)})")
     # central correction: gamma evaluates to qbar^-1 ubar^-1 ubar'
-    resid = nil_multiply(nil_invert(ev(q), e), nil_multiply(nil_invert(ubar, e), ubar_p, e), e)
+    resid = group.multiply(group.invert(group.evaluate(q)),
+                           group.multiply(group.invert(ubar), ubar_p))
     assert resid[0] == 0 and resid[1] == 0
-    assert resid[2] % e == 0
-    gamma = loop_enclosing_area(resid[2] // e)
-    path = word_inverse(v, _HEX_ALPHABET) + q + gamma + v_p
-    assert nil_multiply(g, ev(path), e) == g_prime
+    assert resid[2] % group.e == 0
+    gamma = loop_enclosing_area(resid[2] // group.e)
+    path = word_inverse(v, group.alphabet) + q + gamma + v_p
+    assert group.multiply(g, group.evaluate(path)) == g_prime
     return path

@@ -32,6 +32,12 @@ def nil_invert(u: NilElement, e: int) -> NilElement:
     return (-a, -b, -t - e * a * b)
 
 
+def nil_commutator(u: NilElement, v: NilElement, e: int) -> NilElement:
+    """[u, v] = u^-1 v^-1 u v."""
+    p = nil_multiply(nil_invert(u, e), nil_invert(v, e), e)
+    return nil_multiply(nil_multiply(p, u, e), v, e)
+
+
 def nil_power(u: NilElement, n: int, e: int) -> NilElement:
     """(a, b, t)^n in closed form."""
     if n < 0:
@@ -151,15 +157,9 @@ class NilGroup(GroupInterface):
         """Verify [x,z]=[y,z]=1 and [x,y]=z^e against the multiplication."""
         e = self.e
         x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-
-        def comm(u, v):
-            p = nil_multiply(nil_invert(u, e), nil_invert(v, e), e)
-            p = nil_multiply(p, u, e)
-            return nil_multiply(p, v, e)
-
-        assert comm(x, z) == NIL_IDENTITY
-        assert comm(y, z) == NIL_IDENTITY
-        assert comm(x, y) == (0, 0, e)
+        assert nil_commutator(x, z, e) == NIL_IDENTITY
+        assert nil_commutator(y, z, e) == NIL_IDENTITY
+        assert nil_commutator(x, y, e) == (0, 0, e)
         if self.gens.kind == "hexagonal":
             assert self._images["t"] == nil_multiply(x, y, e)
 

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 Word = tuple[str, ...]
-
-EPSILON: Word = ()
 
 
 class UnknownSymbol(KeyError):
@@ -17,16 +14,6 @@ class UnknownSymbol(KeyError):
 def default_inverse_name(name: str) -> str:
     """Involution on symbol names: a trailing '-' marks the inverse."""
     return name[:-1] if name.endswith("-") else name + "-"
-
-
-@dataclass(frozen=True)
-class GeneratorSymbol:
-    name: str
-    inverse_name: str
-
-    @property
-    def self_inverse(self) -> bool:
-        return self.name == self.inverse_name
 
 
 class Alphabet:
@@ -39,22 +26,17 @@ class Alphabet:
 
     def __init__(self, names: Iterable[str], self_inverse: Iterable[str] = ()):
         self_inverse = set(self_inverse)
-        symbols: list[GeneratorSymbol] = []
-        seen: set[str] = set()
+        self._inverse: dict[str, str] = {}  # in alphabet order
         for name in names:
-            if name in seen:
+            if name in self._inverse:
                 continue
             if name in self_inverse:
-                symbols.append(GeneratorSymbol(name, name))
-                seen.add(name)
+                self._inverse[name] = name
             else:
                 inv = default_inverse_name(name)
-                symbols.append(GeneratorSymbol(name, inv))
-                symbols.append(GeneratorSymbol(inv, name))
-                seen.update((name, inv))
-        self.symbols: tuple[GeneratorSymbol, ...] = tuple(symbols)
-        self.names: tuple[str, ...] = tuple(s.name for s in symbols)
-        self._inverse = {s.name: s.inverse_name for s in symbols}
+                self._inverse[name] = inv
+                self._inverse[inv] = name
+        self.names: tuple[str, ...] = tuple(self._inverse)
         self._index = {name: i for i, name in enumerate(self.names)}
 
     def __len__(self) -> int:
@@ -87,9 +69,6 @@ class Alphabet:
     def parse(self, text: str) -> Word:
         """Parse a space-separated word; trailing '-' marks an inverse letter."""
         return self.check_word(tuple(text.split()))
-
-    def format(self, word: Sequence[str]) -> str:
-        return " ".join(word)
 
 
 def word_inverse(word: Sequence[str], alphabet: Alphabet) -> Word:

@@ -91,6 +91,22 @@ def test_ball_and_ac_check(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["rows"] == 9
 
 
+_HEADER = "group,gens,m,n,pairs,K,mean,absent_under_cap\n"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("short_row.csv", _HEADER + "g,x y,2,0,0,-1\n"),
+    ("empty.csv", ""),
+    ("rows_not_a_list.json", '{"group": "g", "gens": "x y", "m": 2, "rows": 5}'),
+], ids=["csv_row_of_4_fields", "empty_csv", "json_rows_5"])
+def test_report_malformed_profile_is_an_error_record(tmp_path, capsys, name, text):
+    """A malformed profile ends in one ValueError record, not a traceback."""
+    profile = _write(tmp_path, name, text)
+    assert run_command(["report", "--profile", profile]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == "ValueError"
+
+
 def test_commands_build_the_group_once(tmp_path, capsys, monkeypatch):
     calls = []
 

@@ -1,11 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
 from cayleyac.dehn import d_reduce_with_charges, is_d_reduced
-from cayleyac.explorer import build_ball
+from cayleyac.explorer import ElementAbsent, build_ball, sphere_pairs
 from cayleyac.extensions import (CentralExtension, MissingCentralGenerator,
-                                 central_witness_path)
+                                 PreconditionViolated, central_witness_path)
 from cayleyac.words import word_inverse
 
 
@@ -137,6 +138,66 @@ def test_witness_path_small_spheres(genus2_ext, surface_ball5):
             ),
         )
         assert report["pairs"] > 0
+
+
+def test_witness_path_preconditions(genus2_ext, surface_ball5):
+    """Each hypothesis of the construction is checked and refused with
+    PreconditionViolated; a connector that evaluates to 1 gives ()."""
+    ball = build_ball(genus2_ext, 3)
+    n = 2
+    i, j, q = next(sphere_pairs(ball, n, 2))
+    g, g_prime = ball.elements[i], ball.elements[j]
+
+    def cwp(u, u_prime, word, radius=n):
+        return central_witness_path(genus2_ext, ball, surface_ball5, u, u_prime, word, radius)
+
+    assert cwp(g, g_prime, q)
+    with pytest.raises(PreconditionViolated, match="longer than 2"):
+        cwp(g, g, ("a1", "a1", "a1-"))
+    with pytest.raises(PreconditionViolated, match="sphere"):
+        cwp(g, g_prime, q, radius=3)
+    outside = genus2_ext.evaluate(("a1",) * 4)
+    with pytest.raises(ElementAbsent):
+        cwp(g, outside, ("a1", "a1"))
+    other = next(k for k in ball.sphere(n) if k not in (i, j))
+    with pytest.raises(PreconditionViolated, match="eval"):
+        cwp(g, ball.elements[other], q)
+    # a connector whose first letter leaves B(n), and a second letter that
+    # does not come back to g
+    rows = ball.graph(n - ball.radius)
+    names = ball.gen_names
+    a = next(gi for gi, v in enumerate(rows[i]) if ball.lengths[v] > n)
+    b = next(gi for gi in range(len(names)) if gi not in (a, ball.inverse_gens[a]))
+    with pytest.raises(PreconditionViolated, match="eval"):
+        cwp(g, g, (names[a], names[b]))
+    assert cwp(g, g, (names[a], names[ball.inverse_gens[a]])) == ()
+
+
+def _digest(words):
+    h = hashlib.sha256()
+    for word in words:
+        h.update((" ".join(word) + "\n").encode())
+    return h.hexdigest()
+
+
+_WITNESS_DIGESTS = {
+    1: "dbe7368e97f74ffa06f269bec5afece3f73afd8309fda19665dcf6ab9095578e",
+    2: "623a5a53c6687526585c23d0b17ffea40fd0d107d84b8faccf2273fe5c77c824",
+    3: "47220886f53fdc80858e3164190162383986bec85a4f3bba0091762238cad762",
+    4: "9db4f204e99ae2ce564010d484567bccaf0adc144dff32da53145e2ae56b22a6",
+}
+
+
+def test_witness_words_pinned(genus2_ext, surface_ball5):
+    """The words of the construction on every sphere-n pair of B(4),
+    n = 1..4, one per line in pair order, are fixed: reading the
+    hypotheses and the prefixes off the ball must not change them."""
+    ball = build_ball(genus2_ext, 4)
+    for n, digest in _WITNESS_DIGESTS.items():
+        words = [central_witness_path(genus2_ext, ball, surface_ball5,
+                                      ball.elements[i], ball.elements[j], q, n)
+                 for i, j, q in sphere_pairs(ball, n, 2)]
+        assert _digest(words) == digest, n
 
 
 def test_direct_product_central_values(surface2):

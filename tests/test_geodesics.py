@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cayleyac.explorer import build_ball
@@ -111,7 +113,7 @@ def test_witness_path_recipe_branch_evaluates(nil_hex, nil_hex_ball12):
     from cayleyac.nil import nil_multiply
 
     table = HexGeodesicTable(1)
-    checked = 0
+    words = []
     for i, j, q in sphere_pairs(nil_hex_ball12, 9, 2):
         g, gp = nil_hex_ball12.elements[i], nil_hex_ball12.elements[j]
         w = witness_path_hex(g, gp, q, 9, split=4, table=table)
@@ -119,7 +121,31 @@ def test_witness_path_recipe_branch_evaluates(nil_hex, nil_hex_ball12):
         for letter in w:
             elem = nil_multiply(elem, nil_hex.generator_images[letter], 1)
         assert elem == gp
-        checked += 1
-        if checked >= 300:
+        words.append(w)
+        if len(words) >= 300:
             break
-    assert checked == 300
+    assert len(words) == 300
+    # the words themselves, one per line in pair order, are fixed
+    assert _digest(words) == \
+        "8fd28240554028010e11e6b9e392f2526e5711d1310f02bd4d5ec4054edbb851"
+
+
+def _digest(words):
+    h = hashlib.sha256()
+    for word in words:
+        h.update((" ".join(word) + "\n").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_hex_geodesic_words_pinned(e):
+    """The table's geodesic for every element of the hexagonal B(8), in
+    ball order, is fixed: the backtrack takes the first move that fits, so
+    the order and the fiber increments of the moves decide the word
+    ((a, b, t) -> (a, b, e*t) carries the e = 1 ball onto the e = 2 ball in
+    key order, and the table counts the fiber in units of e, so both
+    degrees give the same words)."""
+    ball = build_ball(NilGroup(e, NilGenSet("hexagonal", include_z=False)), 8)
+    table = HexGeodesicTable(e)
+    assert _digest(table.geodesic(g) for g in ball.elements) == \
+        "f40ed6ff444fb3c1f3e88ca74f9097775878943158f1352ca50ab54b83891637"
