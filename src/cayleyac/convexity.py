@@ -115,10 +115,13 @@ class ConvexityProfile:
             raise ValueError(f"bad profile header: {header}")
         if not body:
             raise ValueError("empty profile")
-        for rec in body:
+        for number, rec in enumerate(body, start=1):
             if len(rec) != len(_CSV_HEADER):
                 raise ValueError(f"profile row has {len(rec)} fields, not "
                                  f"{len(_CSV_HEADER)}: {rec}")
+            if rec[:3] != body[0][:3]:
+                raise ValueError(f"profile row {number} has group, gens, m {rec[:3]}, "
+                                 f"row 1 has {body[0][:3]}: a file holds one profile")
         prof = cls(group=body[0][0], gens=body[0][1], m=int(body[0][2]), cap_rule="")
         prof.rows = [_profile_row(*rec[3:]) for rec in body]
         return prof

@@ -268,13 +268,18 @@ class CentralExtension(GroupInterface):
                 vec = _vec_add(vec, img.avec)
         return vec, tuple(base_letters)
 
+    def dreduced_shape(self, word: Word) -> tuple[tuple[int, ...], Word]:
+        """(central value, D-reduced base word) of an equal evaluation."""
+        vec, base_word = self.split_central(word)
+        reduced, consumed = d_reduce_with_charges(base_word, self.dehn, self.charges, self.rank)
+        return _vec_add(vec, consumed), reduced
+
     def to_dreduced_shape(self, word: Word) -> Word:
         """Equal evaluation, length never larger: central letters migrate to
         the front and the base projection becomes D-reduced, each replacement
         consuming a relator charge realized by central letters."""
-        vec, base_word = self.split_central(word)
-        reduced, consumed = d_reduce_with_charges(base_word, self.dehn, self.charges, self.rank)
-        return self.central_geodesic(_vec_add(vec, consumed)) + reduced
+        vec, reduced = self.dreduced_shape(word)
+        return self.central_geodesic(vec) + reduced
 
 
 def central_witness_path(group: CentralExtension, ball, base_ball,
@@ -286,6 +291,8 @@ def central_witness_path(group: CentralExtension, ball, base_ball,
     the other geodesic with a short base path, correct with a central
     geodesic, then run forward.  When both elements are central the central
     letters alone connect them (the central subgroup embeds isometrically).
+    The path starts at the endpoint with the longer base word (from g', it
+    is inverted).
 
     q is checked by a walk over the graph with full rows of B(n).  Only its
     second letter can start outside B(n), on sphere n+1, whose edges back
@@ -307,46 +314,39 @@ def central_witness_path(group: CentralExtension, ball, base_ball,
         return ()
     k = group.quasi.k_of_m.get(2, 1) if group.quasi else 1
 
-    vec_u, v = group.split_central(group.to_dreduced_shape(ball.geodesic_witness(i)))
-    vec_u2, v_prime = group.split_central(group.to_dreduced_shape(ball.geodesic_witness(j)))
-
+    vec_u, v = group.dreduced_shape(ball.geodesic_witness(i))
+    vec_u2, v_prime = group.dreduced_shape(ball.geodesic_witness(j))
     if not v and not v_prime:
         # both central: travel inside the central subgroup
         return group.central_geodesic(_vec_add(vec_u2, _vec_neg(vec_u)))
-    if len(v) < len(v_prime):
-        reverse = central_witness_path(group, ball, base_ball, g_prime, g,
-                                       word_inverse(q, group.alphabet), n)
-        return word_inverse(reverse, group.alphabet)
-
+    swap = len(v) < len(v_prime)
+    if swap:
+        (vec_u, v), (vec_u2, v_prime) = (vec_u2, v_prime), (vec_u, v)
     back = min(k + 1, len(v))
     x, y = v[:len(v) - back], v[len(v) - back:]
     base = group.base
-    bx_inv = base.invert(base.evaluate(x))
-
-    # crossing: shortest base path from eval(x) to a point on the other
-    # projection, scanning prefixes of v' for the nearest
+    # crossing: the shortest base path diff = eval(x)^-1 eval(v'[:cut]) over
+    # the prefixes of v', one letter more per cut
     best = None
-    prefix = base.identity
+    diff = base.invert(base.evaluate(x))
     for cut in range(len(v_prime) + 1):
         if cut:
-            prefix = base.multiply(prefix, base.generator_images[v_prime[cut - 1]])
-        diff = base.multiply(bx_inv, prefix)
-        try:
-            dist = base_ball.length_of(diff)
-        except KeyError:
-            continue
-        if best is None or dist < best[0]:
-            best = (dist, cut, diff)
+            diff = base.multiply(diff, base.generator_images[v_prime[cut - 1]])
+        idx = base_ball.locate(diff)
+        if idx is not None and (best is None or base_ball.lengths[idx] < best[0]):
+            best = (base_ball.lengths[idx], cut, idx)
     if best is None or best[0] > max(k, 1):
         raise PreconditionViolated("no crossing within the fellow-traveler bound")
-    _, cut, diff = best
-    z = base_ball.geodesic_witness(diff)
+    _, cut, idx = best
+    z = base_ball.geodesic_witness(idx)
 
-    # central correction: land exactly on the prefix point of the other word
-    target = group.evaluate(group.central_geodesic(vec_u2) + v_prime[:cut])
-    here = group.multiply(g, group.evaluate(word_inverse(y, group.alphabet) + z))
-    hop = group.multiply(group.invert(here), target)
-    if not group.base.element_equal(hop.base, group.base.identity):
+    # central correction: x z and v'[:cut] are one base element, so the
+    # closed word x z v'[:cut]^-1 reduces to the empty word, and the charge
+    # s it consumes gives x z = (s, v'[:cut]) in the extension
+    closed = x + z + word_inverse(v_prime[:cut], group.alphabet)
+    rest, charge = d_reduce_with_charges(closed, group.dehn, group.charges, group.rank)
+    if rest:
         raise AssertionError("crossing bookkeeping failed")
-    correction = group.central_geodesic(hop.avec)
-    return word_inverse(y, group.alphabet) + z + correction + v_prime[cut:]
+    correction = group.central_geodesic(_vec_add(vec_u2, _vec_neg(_vec_add(vec_u, charge))))
+    path = word_inverse(y, group.alphabet) + z + correction + v_prime[cut:]
+    return word_inverse(path, group.alphabet) if swap else path

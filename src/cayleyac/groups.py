@@ -130,6 +130,9 @@ class IntegerLattice(GroupInterface):
         return pack_ints(elem)
 
     def decode_key(self, key):
+        if len(key) != 8 * self.rank:
+            raise ValueError(f"a rank-{self.rank} lattice key has {8 * self.rank} bytes, "
+                             f"not {len(key)}")
         return unpack_ints(key)
 
     def fingerprint(self):

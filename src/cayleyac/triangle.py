@@ -287,6 +287,9 @@ class TriangleGroup(GroupInterface):
 
     def decode_key(self, key: bytes):
         entries = [part.split(",") for part in key.decode().split(";")]
+        if len(entries) != 9 or any(len(e) != self.field.degree for e in entries):
+            raise ValueError("a triangle key holds 9 entries of "
+                             f"{self.field.degree} coefficients")
         if not all(c.endswith("/1") for entry in entries for c in entry):
             raise ValueError("triangle key coefficients must have denominator 1")
         return tuple(tuple(int(c[:-2]) for c in entry) for entry in entries)

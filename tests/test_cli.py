@@ -94,17 +94,23 @@ def test_ball_and_ac_check(tmp_path, capsys):
 _HEADER = "group,gens,m,n,pairs,K,mean,absent_under_cap\n"
 
 
-@pytest.mark.parametrize("name, text", [
-    ("short_row.csv", _HEADER + "g,x y,2,0,0,-1\n"),
-    ("empty.csv", ""),
-    ("rows_not_a_list.json", '{"group": "g", "gens": "x y", "m": 2, "rows": 5}'),
-], ids=["csv_row_of_4_fields", "empty_csv", "json_rows_5"])
-def test_report_malformed_profile_is_an_error_record(tmp_path, capsys, name, text):
-    """A malformed profile ends in one ValueError record, not a traceback."""
+@pytest.mark.parametrize("name, text, detail", [
+    ("short_row.csv", _HEADER + "g,x y,2,0,0,-1\n", ""),
+    ("empty.csv", "", ""),
+    ("rows_not_a_list.json", '{"group": "g", "gens": "x y", "m": 2, "rows": 5}', ""),
+    ("two_profiles.csv", _HEADER + "g,x y,2,0,0,-1,0.000000,0\n"
+                                   "g,x y,2,1,6,2,1.000000,0\n"
+                                   "h,x y,3,0,0,-1,0.000000,0\n"
+                                   "h,x y,3,1,8,5,2.000000,0\n", "row 3"),
+], ids=["csv_row_of_4_fields", "empty_csv", "json_rows_5", "csv_of_two_profiles"])
+def test_report_malformed_profile_is_an_error_record(tmp_path, capsys, name, text, detail):
+    """A malformed profile ends in one ValueError record, not a traceback;
+    a CSV of two profiles names the first row of the second."""
     profile = _write(tmp_path, name, text)
     assert run_command(["report", "--profile", profile]) == 1
     record = json.loads(capsys.readouterr().out)
     assert record["error"] == "ValueError"
+    assert detail in record["detail"]
 
 
 def test_commands_build_the_group_once(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import itertools
+import os
 
 import pytest
 
@@ -364,6 +365,40 @@ def test_cache_rejects_damaged_files(nil_xy, surface2):
     data[17 + 18 + 2] = 0xFF
     with pytest.raises(ValueError):
         Ball.from_bytes(bytes(data), surface2)
+
+
+def _rekey(data, index, rekey):
+    """Ball bytes with the key of record ``index`` replaced by rekey(key):
+    records follow the 17-byte header, each a 2-byte key length, the key
+    and 16 bytes."""
+    pos = 17
+    for _ in range(index):
+        pos += 2 + int.from_bytes(data[pos : pos + 2], "big") + 16
+    end = pos + 2 + int.from_bytes(data[pos : pos + 2], "big")
+    key = rekey(data[pos + 2 : end])
+    return data[:pos] + len(key).to_bytes(2, "big") + key + data[end:]
+
+
+@pytest.mark.parametrize("make, rekey", [
+    (lambda: TriangleGroup(2, 3, 7), lambda key: key.rsplit(b";", 1)[0]),
+    (lambda: TriangleGroup(2, 3, 7), lambda key: key + b",0/1"),
+    (lambda: IntegerLattice(2), lambda key: key[:8]),
+], ids=["triangle_8_entries", "triangle_extra_coefficient", "lattice_8_bytes"])
+def test_cache_with_malformed_key_is_rebuilt(tmp_path, make, rekey):
+    """A key of the wrong shape does not decode, so the cache file holding
+    it is rebuilt instead of loading a malformed element."""
+    group = make()
+    cached_ball(group, 3, cache_dir=str(tmp_path))
+    (name,) = os.listdir(tmp_path)
+    path = os.path.join(tmp_path, name)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(_rekey(data, 1, rekey))
+    with pytest.raises(ValueError):
+        Ball.read(path, group)
+    rebuilt = cached_ball(group, 3, cache_dir=str(tmp_path))
+    assert rebuilt.to_bytes() == build_ball(make(), 3).to_bytes()
 
 
 def _central_extension():

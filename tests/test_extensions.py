@@ -80,6 +80,7 @@ def test_dreduced_shape_random(genus2_ext):
     for _ in range(200):
         w = tuple(rng.choice(names) for _ in range(12))
         shaped = genus2_ext.to_dreduced_shape(w)
+        assert genus2_ext.dreduced_shape(w) == genus2_ext.split_central(shaped)
         assert len(shaped) <= len(w)
         assert genus2_ext.element_equal(genus2_ext.evaluate(shaped),
                                         genus2_ext.evaluate(w))
@@ -185,15 +186,18 @@ _WITNESS_DIGESTS = {
     2: "623a5a53c6687526585c23d0b17ffea40fd0d107d84b8faccf2273fe5c77c824",
     3: "47220886f53fdc80858e3164190162383986bec85a4f3bba0091762238cad762",
     4: "9db4f204e99ae2ce564010d484567bccaf0adc144dff32da53145e2ae56b22a6",
+    5: "11f988adbdad2cbc4a3152288021dd741136c7e7c17172cd6384802cecb370b8",
 }
 
 
-def test_witness_words_pinned(genus2_ext, surface_ball5):
-    """The words of the construction on every sphere-n pair of B(4),
-    n = 1..4, one per line in pair order, are fixed: reading the
-    hypotheses and the prefixes off the ball must not change them."""
-    ball = build_ball(genus2_ext, 4)
+def test_witness_words_pinned(genus2_ext, ext_ball6, surface_ball5):
+    """The words of the construction on every sphere-n pair, one per line
+    in pair order, are fixed: on B(4) at n = 1..4 and on B(6) at n = 5
+    (124,248 pairs).  Reading the hypotheses, the prefixes and the
+    correction off the ball and the charges must not change them."""
+    small = build_ball(genus2_ext, 4)
     for n, digest in _WITNESS_DIGESTS.items():
+        ball = small if n < 5 else ext_ball6
         words = [central_witness_path(genus2_ext, ball, surface_ball5,
                                       ball.elements[i], ball.elements[j], q, n)
                  for i, j, q in sphere_pairs(ball, n, 2)]
