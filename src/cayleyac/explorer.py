@@ -12,17 +12,20 @@ an element goes through ``Ball.locate``.
 Sphere pairs, inside paths and witness checks read one integer-indexed
 Cayley graph per ball (``Ball.graph``), grown a sphere at a time with each
 edge multiplied once, to full rows of B(n) for the search at n and of
-B(n + ceil(m/2) - 1) for the pair walks.  Pairs are found by index walks
-over that graph, with no multiply per pair.  The length-only walk counts,
-per sphere vertex and distance, the pairs joined by a geodesic inside B(n)
-and lists the rest for ``inside_distance``.  ``inside_distance`` and
-``inside_path`` share one bidirectional search through B(n), which keeps
-one parent per visited node and stops at the first meeting; the distance is
-its length, the path the word read back from the meeting node.
+B(n + ceil(m/2) - 1) for the pair walks; parent edges are seeded, not
+multiplied.  Pairs are found by index walks over that graph, with no
+multiply per pair.  The length-only walk counts, per sphere vertex and
+distance, the pairs joined by a geodesic inside B(n) and lists the rest for
+``inside_distance``.  ``inside_distance`` and ``inside_path`` share one
+bidirectional search through B(n), which stops at the first meeting; the
+distance is its length, the path the word read back from the meeting edge.
+Walks and searches keep visit marks and parents in two lists per ball, each
+walk and search side with a fresh token; walks finish before they yield.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from typing import Iterator, Optional
@@ -70,6 +73,11 @@ class Ball:
         self._rows: list[list[int]] = []
         self._complete = -1
         self._halo: dict = {}
+        # the walks' visit tokens and parents: a slot per graph vertex and
+        # a spare last one, which UNKNOWN (-1) indexes
+        self._mark = [0]
+        self._parent = [0]
+        self._tokens = itertools.count(1)
 
     # -- queries ------------------------------------------------------------
 
@@ -158,7 +166,8 @@ class Ball:
         ball, in the outermost halo sphere past it; only a miss can register
         a new representative.  A product found in neither is a new vertex of
         the sphere beyond.  Each product also fills the edge back, so a
-        filled entry is never multiplied.  Products come in vertex order x
+        filled entry is never multiplied, nor is a parent edge of the next
+        ball sphere, seeded both ways.  Products come in vertex order x
         generator order, as in ``build_ball``, so word groups register new
         elements, all outside the ball, in that order."""
         group = self.group
@@ -172,7 +181,12 @@ class Ball:
             known = self.index
             # rows up to the next ball sphere, which takes the back edges
             top = self.sphere(min(s + 1, self.radius)).stop
-            rows.extend([UNKNOWN] * len(images) for _ in range(len(rows), top))
+            start = len(rows)
+            rows.extend([UNKNOWN] * len(images) for _ in range(start, top))
+            for v in range(max(start, 1), top):  # the identity has no parent
+                p, gi = self.parents[v]
+                rows[p][gi] = v
+                rows[v][inverse[gi]] = p
         else:
             known = self._halo
             vertices = ((v, elem) for elem, v in known.items())
@@ -196,6 +210,9 @@ class Ball:
                 rows[j][inverse[gi]] = v
         self._halo = fresh
         self._complete = s
+        slots = [0] * (len(rows) + 1 - len(self._mark))
+        self._mark += slots
+        self._parent += slots
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """adj[i] = [(generator index, target index)] restricted to the
@@ -275,6 +292,7 @@ def build_ball(group: GroupInterface, radius: int) -> Ball:
     images = [group.generator_images[name] for name in ball.gen_names]
     gweights = [group.generator_weight(name) for name in ball.gen_names]
     index = ball.index
+    inverse = ball.inverse_gens
 
     ident = group.resolve(group.identity)
     ball._append(ident, group.key(ident), 0, -1, -1, 0)
@@ -285,7 +303,11 @@ def build_ball(group: GroupInterface, radius: int) -> Ball:
         for pi in level:
             parent = ball.elements[pi]
             pw = ball.weights[pi]
+            # the parent edge read backwards leads to the grandparent
+            back = inverse[ball.parents[pi][1]] if pi else UNKNOWN
             for gi, img in enumerate(images):
+                if gi == back:
+                    continue
                 child = group.multiply(parent, img)
                 # a child indexed as given is a registered representative
                 # already in the ball, so it needs no resolve
@@ -350,21 +372,24 @@ def sphere_pairs(ball: Ball, n: int, m: int) -> Iterator[tuple[int, int, Word]]:
     rows = _pair_graph(ball, n, m)
     names = ball.gen_names
     stop = ball.sphere(n).stop
+    mark = ball._mark
     for i in ball.sphere(n):
-        seen = {i, UNKNOWN}  # an unknown edge leads to no sphere-n vertex
+        token = mark[i] = mark[UNKNOWN] = next(ball._tokens)  # UNKNOWN: no vertex
+        found = []  # yielded once the walk is done, so it keeps its marks
         level: list[tuple[int, Word]] = [(i, ())]
         for _ in range(m):
             nxt = []
             for u, word in level:
                 for gi, v in enumerate(rows[u]):
-                    if v in seen:
+                    if mark[v] == token:
                         continue
-                    seen.add(v)
+                    mark[v] = token
                     q = word + (names[gi],)
                     nxt.append((v, q))
                     if i < v < stop:
-                        yield (i, v, q)
+                        found.append((i, v, q))
             level = nxt
+        yield from found
 
 
 def sphere_pair_counts(
@@ -385,8 +410,9 @@ def sphere_pair_counts(
     has no geodesic from an inside one, so it is outside too."""
     rows = _pair_graph(ball, n, m)
     stop = ball.sphere(n).stop
+    mark = ball._mark
     for i in ball.sphere(n):
-        seen = {i, UNKNOWN}  # UNKNOWN is below stop but never a ball vertex
+        token = mark[i] = mark[UNKNOWN] = next(ball._tokens)  # UNKNOWN: no vertex
         inside, outside = [i], []
         counts: list[int] = []
         undecided: list[tuple[int, int]] = []
@@ -395,8 +421,8 @@ def sphere_pair_counts(
             count = 0
             for u in inside:
                 for v in rows[u]:
-                    if v not in seen:
-                        seen.add(v)
+                    if mark[v] != token:
+                        mark[v] = token
                         if v < stop:
                             next_inside.append(v)
                             if v > i:
@@ -405,8 +431,8 @@ def sphere_pair_counts(
                             next_outside.append(v)
             for u in outside:
                 for v in rows[u]:
-                    if v not in seen:
-                        seen.add(v)
+                    if mark[v] != token:
+                        mark[v] = token
                         next_outside.append(v)
                         if i < v < stop:
                             undecided.append((v, d))
@@ -417,11 +443,11 @@ def sphere_pair_counts(
 
 def _inside_search(
     ball: Ball, i: int, j: int, n: int, cap: Optional[int],
-) -> Optional[tuple[int, int, dict, dict]]:
+) -> Optional[tuple[int, int, int]]:
     """Bidirectional level-synchronous search from elements i and j through
-    B(n), expanding the smaller frontier.  Returns (length, meet, fwd, bwd)
-    at the first meeting, where fwd and bwd map each node a side visited to
-    the node it was reached from (None at i and at j); None when the length
+    B(n), expanding the smaller frontier.  Returns (length, a, b) at the
+    first meeting, where a -> b is the meeting edge and ``ball._parent``
+    leads from a back to i and from b back to j; None when the length
     would exceed the cap (default 4n + 64).
 
     Until the first meeting the two visited sets are disjoint, and every
@@ -434,11 +460,13 @@ def _inside_search(
         raise RadiusUnavailable(f"ball radius {ball.radius} < {n}")
     if cap is None:
         cap = 4 * n + 64
-    fwd, bwd = {i: None}, {j: None}
     if i == j:
-        return 0, i, fwd, bwd
+        return 0, i, j
     rows = ball.graph(n - ball.radius)
     stop = ball.sphere(n).stop  # ids below it are exactly B(n)
+    mark, parent = ball._mark, ball._parent
+    f_token = mark[i] = next(ball._tokens)
+    b_token = mark[j] = next(ball._tokens)
     f_frontier, b_frontier = [i], [j]
     depth = 0  # forward depth + backward depth
     while f_frontier or b_frontier:
@@ -446,16 +474,17 @@ def _inside_search(
             return None
         forward = bool(f_frontier) and (len(f_frontier) <= len(b_frontier)
                                         or not b_frontier)
-        frontier, visited, other = ((f_frontier, fwd, bwd) if forward
-                                    else (b_frontier, bwd, fwd))
+        frontier, token, other = ((f_frontier, f_token, b_token) if forward
+                                  else (b_frontier, b_token, f_token))
         depth += 1
         new = []
         for u in frontier:
             for v in rows[u]:
-                if v < stop and v not in visited:
-                    visited[v] = u
-                    if v in other:
-                        return depth, v, fwd, bwd
+                if v < stop and mark[v] != token:
+                    if mark[v] == other:
+                        return (depth, u, v) if forward else (depth, v, u)
+                    mark[v] = token
+                    parent[v] = u
                     new.append(v)
         if forward:
             f_frontier = new
@@ -471,24 +500,28 @@ def inside_path(ball: Ball, i: int, j: int, n: int,
                 cap: Optional[int] = None) -> Optional[Word]:
     """Shortest word labelling a path from element i to element j all of
     whose vertices satisfy l <= n; None when no such path exists within the
-    cap (default 4n + 64).  The word is read back from the first meeting of
+    cap (default 4n + 64).  The word is read back from the meeting edge of
     the bidirectional search."""
     found = _inside_search(ball, i, j, n, cap)
     if found is None:
         return None
-    _length, meet, fwd, bwd = found
+    if i == j:
+        return ()
+    _length, a, b = found
     rows = ball.graph(n - ball.radius)
+    parent = ball._parent
     names = ball.gen_names
     word: list[str] = []
-    v = meet
-    while fwd[v] is not None:  # back toward i
-        u = fwd[v]
+    v = a
+    while v != i:  # back toward i
+        u = parent[v]
         word.append(names[rows[u].index(v)])
         v = u
     word.reverse()
-    u = meet
-    while bwd[u] is not None:  # on toward j
-        v = bwd[u]
+    word.append(names[rows[a].index(b)])
+    u = b
+    while u != j:  # on toward j
+        v = parent[u]
         word.append(names[rows[u].index(v)])
         u = v
     return tuple(word)

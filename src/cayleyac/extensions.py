@@ -206,7 +206,7 @@ class CentralExtension(GroupInterface):
         return pack_ints(elem.avec) + self.base.key(elem.base)
 
     def decode_key(self, key: bytes) -> ExtElement:
-        avec = unpack_ints(key[: 8 * self.rank])
+        avec = unpack_ints(key[: 8 * self.rank], self.rank)
         base_elem = self.base.decode_key(key[8 * self.rank:])
         return ExtElement(avec, base_elem)
 

@@ -39,13 +39,18 @@ class NilAutomorphism:
     e: int
 
     def apply(self, elem: NilElement) -> NilElement:
+        """x_image^a y_image^b z_image^t in closed form (z_image central)."""
         a, b, t = elem
-        out = nil_power(self.x_image, a, self.e)
-        out = nil_multiply(out, nil_power(self.y_image, b, self.e), self.e)
-        return nil_multiply(out, nil_power(self.z_image, t, self.e), self.e)
+        x1, x2, x3 = self.x_image
+        y1, y2, y3 = self.y_image
+        return (a * x1 + b * y1, a * x2 + b * y2,
+                a * x3 + b * y3 + t * self.z_image[2]
+                - self.e * (x1 * x2 * (a * (a - 1) // 2) + y1 * y2 * (b * (b - 1) // 2)
+                            + a * b * x2 * y1))
 
     def check(self) -> None:
         e = self.e
+        assert self.z_image[:2] == (0, 0), "the z image is not central"
         assert nil_commutator(self.x_image, self.z_image, e) == (0, 0, 0)
         assert nil_commutator(self.y_image, self.z_image, e) == (0, 0, 0)
         assert nil_commutator(self.x_image, self.y_image, e) == nil_power(self.z_image, e, e), \
@@ -167,7 +172,7 @@ class FiniteNilExtension(GroupInterface):
         return pack_ints((a, b, t, q))
 
     def decode_key(self, key: bytes) -> FEElement:
-        a, b, t, q = unpack_ints(key)
+        a, b, t, q = unpack_ints(key, 4)
         return ((a, b, t), q)
 
     def generator_weight(self, name: str) -> int:
@@ -278,7 +283,7 @@ class WallpaperQuotient(GroupInterface):
         return pack_ints((a, b, q))
 
     def decode_key(self, key: bytes):
-        a, b, q = unpack_ints(key)
+        a, b, q = unpack_ints(key, 3)
         return ((a, b), q)
 
     def fingerprint(self) -> str:

@@ -23,9 +23,12 @@ def pack_ints(values: Sequence[int]) -> bytes:
     return bytes(out)
 
 
-def unpack_ints(key: bytes) -> tuple[int, ...]:
-    n = len(key) // 8
-    return tuple(struct.unpack(">Q", key[8 * i : 8 * i + 8])[0] - (1 << 62) for i in range(n))
+def unpack_ints(key: bytes, count: int) -> tuple[int, ...]:
+    """The ``count`` integers ``pack_ints`` wrote, in one unpack of a format
+    that ``struct`` compiles once; ValueError for a key of another length."""
+    if len(key) != 8 * count:
+        raise ValueError(f"a key of {count} integers has {8 * count} bytes, not {len(key)}")
+    return tuple(v - (1 << 62) for v in struct.unpack(f">{count}Q", key))
 
 
 class GroupInterface(abc.ABC):
@@ -130,10 +133,7 @@ class IntegerLattice(GroupInterface):
         return pack_ints(elem)
 
     def decode_key(self, key):
-        if len(key) != 8 * self.rank:
-            raise ValueError(f"a rank-{self.rank} lattice key has {8 * self.rank} bytes, "
-                             f"not {len(key)}")
-        return unpack_ints(key)
+        return unpack_ints(key, self.rank)
 
     def fingerprint(self):
         return self.word_fingerprint(f"lattice rank={self.rank}")

@@ -184,7 +184,7 @@ class NilGroup(GroupInterface):
         return pack_ints(elem)
 
     def decode_key(self, key: bytes) -> NilElement:
-        a, b, t = unpack_ints(key)
+        a, b, t = unpack_ints(key, 3)
         return (a, b, t)
 
     def generator_weight(self, name: str) -> int:

@@ -62,7 +62,7 @@ class SolLattice(GroupInterface):
         return pack_ints((a, b, n))
 
     def decode_key(self, key: bytes) -> SolElement:
-        a, b, n = unpack_ints(key)
+        a, b, n = unpack_ints(key, 3)
         return ((a, b), n)
 
     def fingerprint(self) -> str:

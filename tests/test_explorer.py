@@ -258,6 +258,95 @@ def test_graph_grows_sphere_by_sphere(make, radius):
     assert rows == build_ball(make(), radius).graph(1)
 
 
+def test_graph_seeds_parent_edges():
+    """graph(0) takes the ball's parent edges, both ways, from the ball
+    and multiplies only the other edges of B(10) and its halo."""
+    group = NilGroup(1, NilGenSet("hexagonal", include_z=False))
+    ball = build_ball(group, 10)
+    calls = []
+    multiply = group.multiply
+    group.multiply = lambda u, v: calls.append(1) or multiply(u, v)
+    rows = ball.graph()
+    assert len(calls) == 22271
+    for v, (p, gi) in enumerate(ball.parents[1:], start=1):
+        assert rows[p][gi] == v and rows[v][ball.inverse_gens[gi]] == p
+
+
+def _reference_pair_counts(ball, n, m):
+    """sphere_pair_counts with one visited set per walk."""
+    rows = ball.graph(n + (m + 1) // 2 - 1 - ball.radius)
+    stop = ball.sphere(n).stop
+    for i in ball.sphere(n):
+        seen = {i, UNKNOWN}
+        inside, outside, counts, undecided = [i], [], [], []
+        for d in range(1, m + 1):
+            next_inside, next_outside, count = [], [], 0
+            for u in inside:
+                for v in rows[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        if v < stop:
+                            next_inside.append(v)
+                            count += v > i
+                        else:
+                            next_outside.append(v)
+            for u in outside:
+                for v in rows[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        next_outside.append(v)
+                        if i < v < stop:
+                            undecided.append((v, d))
+            counts.append(count)
+            inside, outside = next_inside, next_outside
+        yield i, counts, undecided
+
+
+@pytest.mark.parametrize("make, radius", [
+    (lambda: NilGroup(1, NilGenSet("hexagonal", include_z=False)), 4),
+    (lambda: SolLattice(((2, 1), (1, 1))), 4),
+    (lambda: FiniteNilExtension(klein_bottle_config()), 3), (lambda: SurfaceGroup(2), 3),
+], ids=["nil_hex", "sol", "klein", "surface2"])
+def test_pair_counts_match_set_walks(make, radius):
+    """The walks on visit marks count and list what walks on visited sets
+    do, at n = radius too, where an m = 3 walk reads UNKNOWN entries past
+    the halo, and with inside searches between the walks, as in a
+    profile."""
+    ball = build_ball(make(), radius)
+    for n in range(radius + 1):
+        walks = []
+        for i, counts, undecided in sphere_pair_counts(ball, n, 3):
+            walks.append((i, counts, undecided))
+            for j, _d in undecided:
+                inside_distance(ball, i, j, n)
+        assert walks == list(_reference_pair_counts(ball, n, 3))
+    assert any(UNKNOWN in row for row in ball.graph(1))
+
+
+@pytest.mark.parametrize("make, radius, pairs, digest", [
+    (lambda: NilGroup(1, NilGenSet("hexagonal", include_z=False)), 7, 23703,
+     "89d86fbbd79ff0dbc770bbddfed156c211290338ebec23d13cf4943495ecc39e"),
+    (lambda: SolLattice(((2, 1), (1, 1))), 6, 12367,
+     "f9b4e31deddfc89f585792dfe82d6edb943ae695ad2351a6c7083c5f953c04aa"),
+    (lambda: FiniteNilExtension(klein_bottle_config()), 4, 35474,
+     "0b6ebf34b55ef947ad7973dfa4933f043e900056be19a7f82ab145d4a217b0b0"),
+    (lambda: SurfaceGroup(2), 3, 1380,
+     "6e0978c401b33e3cd9b07f3aafdaff6c9a5ee149adf6418cfbf2edd8207346d2"),
+], ids=["nil_hex", "sol", "klein", "surface2"])
+def test_inside_path_words_pinned(make, radius, pairs, digest):
+    """The words of inside_path, uncapped and at cap 3, on every m = 3
+    sphere pair of the ball hash to a recorded digest."""
+    ball = build_ball(make(), radius)
+    h = hashlib.sha256()
+    count = 0
+    for n in range(radius + 1):
+        for i, j, _q in sphere_pairs(ball, n, 3):
+            words = (inside_path(ball, i, j, n), inside_path(ball, i, j, n, cap=3))
+            h.update(repr((i, j) + words).encode())
+            count += 1
+    assert (count, h.hexdigest()) == (pairs, digest)
+
+
 def test_witness_check_multiplies_only_the_rows_it_reads():
     """compare_witness at n <= 3 on the central B(5) multiplies at most the
     products of B(3), not the rows of the whole ball and its halo."""
@@ -383,7 +472,14 @@ def _rekey(data, index, rekey):
     (lambda: TriangleGroup(2, 3, 7), lambda key: key.rsplit(b";", 1)[0]),
     (lambda: TriangleGroup(2, 3, 7), lambda key: key + b",0/1"),
     (lambda: IntegerLattice(2), lambda key: key[:8]),
-], ids=["triangle_8_entries", "triangle_extra_coefficient", "lattice_8_bytes"])
+    (lambda: NilGroup(1, NilGenSet("square")), lambda key: key + b"\0"),
+    (lambda: SolLattice(((2, 1), (1, 1))), lambda key: key + b"\0"),
+    (lambda: FiniteNilExtension(klein_bottle_config()), lambda key: key + b"\0"),
+    (lambda: FiniteNilExtension(klein_bottle_config()).quotient(), lambda key: key + b"\0"),
+    (lambda: _central_extension(), lambda key: key[4:]),
+], ids=["triangle_8_entries", "triangle_extra_coefficient", "lattice_8_bytes",
+        "heisenberg_stray_byte", "sol_stray_byte", "klein_stray_byte",
+        "wallpaper_stray_byte", "central_short_vector"])
 def test_cache_with_malformed_key_is_rebuilt(tmp_path, make, rekey):
     """A key of the wrong shape does not decode, so the cache file holding
     it is rebuilt instead of loading a malformed element."""

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from cayleyac.explorer import build_ball
-from cayleyac.finite_ext import (CocycleInconsistent, FiniteExtensionConfig,
-                                 FiniteNilExtension, NilAutomorphism,
-                                 klein_bottle_config)
+from cayleyac.finite_ext import (BUILTIN_CONFIGS, CocycleInconsistent,
+                                 FiniteExtensionConfig, FiniteNilExtension,
+                                 NilAutomorphism, klein_bottle_config)
 from cayleyac.groups import check_group_axioms
-from cayleyac.nil import nil_multiply
+from cayleyac.nil import nil_multiply, nil_power
 
 
 def _random_fiber(rng):
@@ -34,6 +34,31 @@ def test_klein_structure(klein):
     assert conj == (expected, 0)
     conj_z = klein.multiply(klein.multiply(r, z), klein.invert(r))
     assert conj_z == ((0, 0, -1), 0)
+
+
+@pytest.mark.parametrize("make, e", [
+    (BUILTIN_CONFIGS["klein_bottle"], 2), (BUILTIN_CONFIGS["klein_bottle"], 4),
+    (BUILTIN_CONFIGS["s2222"], 1), (BUILTIN_CONFIGS["s2222"], 3),
+])
+def test_action_closed_form(make, e):
+    """apply(a, b, t) is x_image^a y_image^b z_image^t, negative powers
+    included."""
+    actions = FiniteNilExtension(make(e=e)).actions
+    grid = range(-3, 4)
+    for phi in actions.values():
+        for a in grid:
+            for b in grid:
+                for t in grid:
+                    power = nil_multiply(nil_power(phi.x_image, a, e),
+                                         nil_power(phi.y_image, b, e), e)
+                    power = nil_multiply(power, nil_power(phi.z_image, t, e), e)
+                    assert phi.apply((a, b, t)) == power
+
+
+def test_check_rejects_non_central_z_image():
+    # with e = 0 the commutator conditions hold for any z image
+    with pytest.raises(AssertionError):
+        NilAutomorphism((1, 0, 0), (0, 1, 0), (1, 0, 1), 0).check()
 
 
 def test_klein_requires_even_degree():

@@ -11,9 +11,12 @@ def test_pack_ints_round_trip_and_order():
     rng = random.Random(50)
     values = [tuple(rng.randrange(-10 ** 9, 10 ** 9) for _ in range(3)) for _ in range(200)]
     for v in values:
-        assert unpack_ints(pack_ints(v)) == v
+        assert unpack_ints(pack_ints(v), len(v)) == v
     packed = sorted(pack_ints(v) for v in values)
-    assert [unpack_ints(p) for p in packed] == sorted(values)
+    assert [unpack_ints(p, 3) for p in packed] == sorted(values)
+    for key in (pack_ints((1, 2)) + b"\0", pack_ints((1, 2))[1:]):
+        with pytest.raises(ValueError):
+            unpack_ints(key, 2)
     with pytest.raises(OverflowError):
         pack_ints((1 << 63,))
 
