@@ -8,7 +8,14 @@ passes ``split=k`` states that word[:k] and word[k:] are each D-reduced, so
 every match crosses the junction.  The loop then cancels freely at the
 junction only and scans only the starts within half a relator of the spliced
 region.  The replacements, and so the result, are those of a scan of the
-whole word, which is what runs without a split."""
+whole word, which is what runs without a split.
+
+A right factor of one letter takes one step.  A free cancellation leaves a
+prefix of the left factor, which is D-reduced.  Otherwise any match ends at
+the new letter and holds exactly len(r) // 2 + 1 letters of its relator r
+(one letter fewer would be a match inside the left factor), so only those
+suffixes are walked down the trie, and the loop runs only when one matches.
+The random and exhaustive word samplers grow their words by the same test."""
 
 from __future__ import annotations
 
@@ -42,6 +49,8 @@ class DehnSystem:
                 raise EmptyRelator("empty relator")
         self._trie = self._build_trie()
         self.max_relator_len = max((len(r) for r in self.relators), default=0)
+        # the lengths len(r) // 2 + 1 of the shortest more-than-half prefixes
+        self._match_lengths = tuple(sorted({len(r) // 2 + 1 for r in self.relators}))
         self._inverse = {name: alphabet.inverse(name) for name in alphabet.names}
 
     def _build_trie(self):
@@ -72,6 +81,26 @@ class DehnSystem:
             if hit is not None:
                 best = hit
         return best
+
+    def ends_in_match(self, word: Sequence[str]) -> bool:
+        """Whether a more-than-half relator prefix ends at the last letter of
+        word.  When word[:-1] is D-reduced, every match of word ends there:
+        its part in word[:-1] is no match, so it is a prefix of exactly
+        len(r) // 2 + 1 letters of some relator r, and only those suffixes
+        of word are walked down the trie."""
+        size = len(word)
+        for depth in self._match_lengths:
+            if depth > size:
+                break
+            node = self._trie
+            for letter in word[size - depth:]:
+                node = node.get(letter)
+                if node is None:
+                    break
+            else:
+                if "" in node:
+                    return True
+        return False
 
     def scan(self, word: Sequence[str], lo: int = 0, hi: Optional[int] = None):
         """Leftmost-longest match starting in word[lo:hi] (the whole word by
@@ -126,8 +155,19 @@ def _reduce(word: Sequence[str], system: DehnSystem,
     it starts in X or in the last max_relator_len // 2 letters of P; only
     those starts are scanned.  Without a split X is the whole word.  Each
     step picks the leftmost of the longest matches of the whole word, as a
-    scan of every start would."""
+    scan of every start would.
+
+    A right factor of one letter, which every product by a generator has,
+    takes a shorter step: a free cancellation leaves a prefix of the
+    D-reduced left factor, and otherwise the word is D-reduced unless a
+    match ends at the new letter.  Only a word with such a match enters the
+    loop."""
     inverse = system._inverse
+    if split is not None and split == len(word) - 1:
+        if split and word[-2] == inverse[word[-1]]:
+            return tuple(word[:-2]), []
+        if not system.ends_in_match(word):
+            return tuple(word), []
     if split is None:
         current = free_reduce(word, system.alphabet)
         p, q = 0, len(current)
@@ -202,6 +242,14 @@ def is_d_reduced(word: Sequence[str], system: DehnSystem) -> bool:
     return system.scan(word) is None
 
 
+def _appends_d_reduced(prefix: Word, letter: str, system: DehnSystem) -> bool:
+    """Whether prefix + (letter,) is D-reduced, for a D-reduced prefix: the
+    test of the one-letter step of ``_reduce``."""
+    if prefix and prefix[-1] == system._inverse[letter]:
+        return False
+    return not system.ends_in_match(prefix + (letter,))
+
+
 # ---------------------------------------------------------------------------
 # Built-in presentations.
 
@@ -260,9 +308,8 @@ def _random_d_reduced(system: DehnSystem, length: int, rng: random.Random) -> Wo
         options = list(names)
         rng.shuffle(options)
         for letter in options:
-            cand = word + (letter,)
-            if is_d_reduced(cand, system):
-                word = cand
+            if _appends_d_reduced(word, letter, system):
+                word += (letter,)
                 break
         else:
             break
@@ -276,9 +323,8 @@ def _all_d_reduced(system: DehnSystem, prefix: Word, remaining: int):
     if remaining == 0:
         return
     for letter in system.alphabet.names:
-        cand = prefix + (letter,)
-        if is_d_reduced(cand, system):
-            yield from _all_d_reduced(system, cand, remaining - 1)
+        if _appends_d_reduced(prefix, letter, system):
+            yield from _all_d_reduced(system, prefix + (letter,), remaining - 1)
 
 
 class _BallWalk:

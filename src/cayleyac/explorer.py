@@ -7,7 +7,10 @@ one order.  Each new element keeps its least edge by (witness weight,
 parent index, generator index) and is keyed once; new elements are inserted
 in key order.  Balls and all their witnesses are therefore reproducible bit
 for bit across runs.  A ball indexes its elements by value; every lookup of
-an element goes through ``Ball.locate``.
+an element goes through ``Ball.locate``.  Records are added in bulk, one
+level at a time; a cache file is checked record by record for its framing
+before any key decodes, so a damaged file is refused before decoding can
+register anything in the group.
 
 Sphere pairs, inside paths and witness checks read one integer-indexed
 Cayley graph per ball (``Ball.graph``), grown a sphere at a time with each
@@ -47,6 +50,8 @@ UNKNOWN = -1
 
 _MAGIC = b"CAYB"
 _VERSION = 2
+# the fields after a record's key: length, parent index, generator, weight
+_RECORD = struct.Struct(">IiiI")
 
 
 class Ball:
@@ -99,14 +104,16 @@ class Ball:
             offsets[n] += offsets[n - 1]
         self.sphere_offsets = offsets
 
-    def _append(self, elem, key: bytes, length: int, parent: int, gen: int,
-                weight: int) -> None:
-        self.index[elem] = len(self.elements)
-        self.elements.append(elem)
-        self.keys.append(key)
-        self.lengths.append(length)
-        self.parents.append((parent, gen))
-        self.weights.append(weight)
+    def _extend(self, elements: list, keys: list[bytes], lengths: list[int],
+                parents: list[tuple[int, int]], weights: list[int]) -> None:
+        """Add records in bulk, indexed in order after the present ones."""
+        start = len(self.elements)
+        self.index.update(zip(elements, range(start, start + len(elements))))
+        self.elements += elements
+        self.keys += keys
+        self.lengths += lengths
+        self.parents += parents
+        self.weights += weights
 
     def sphere_sizes(self) -> list[int]:
         return [len(self.sphere(n)) for n in range(self.radius + 1)]
@@ -234,7 +241,7 @@ class Ball:
         ):
             out += struct.pack(">H", len(key))
             out += key
-            out += struct.pack(">IiiI", length, parent, gen, weight)
+            out += _RECORD.pack(length, parent, gen, weight)
         return bytes(out)
 
     def write(self, path: str) -> None:
@@ -248,7 +255,7 @@ class Ball:
         """Decode a ball written by ``to_bytes``.  Raises ValueError when the
         data is truncated or over-long, of another format version, with a
         last header byte other than 1, or for a generating set of another
-        size."""
+        size; these are all checked before the first key decodes."""
         if data[:4] != _MAGIC:
             raise ValueError("not a ball cache file")
         if len(data) < 17:
@@ -261,19 +268,29 @@ class Ball:
         if genc != len(group.alphabet.names):
             raise ValueError(f"cache has {genc} generators, the group has "
                              f"{len(group.alphabet.names)}")
-        ball = cls(group, radius)
-        pos = 17
+        # the framing of every record is checked before any key decodes, so
+        # a damaged file changes nothing that decoding a key can register
+        keys: list[bytes] = []
+        key_ends: list[int] = []
+        pos, size = 17, len(data)
         for _ in range(count):
-            # a cut inside the 2-byte length field also fails this check
-            key_end = pos + 2 + int.from_bytes(data[pos : pos + 2], "big")
-            if key_end + 16 > len(data):
+            # a record is a 2-byte key length, the key and 16 bytes
+            if pos + 18 > size:
                 raise ValueError("truncated ball cache record")
-            key = data[pos + 2 : key_end]
-            length, parent, gen, weight = struct.unpack_from(">IiiI", data, key_end)
+            key_end = pos + 2 + (data[pos] << 8 | data[pos + 1])
+            if key_end + 16 > size:
+                raise ValueError("truncated ball cache record")
+            keys.append(data[pos + 2 : key_end])
+            key_ends.append(key_end)
             pos = key_end + 16
-            ball._append(group.decode_key(key), key, length, parent, gen, weight)
-        if pos != len(data):
-            raise ValueError(f"{len(data) - pos} bytes after the last ball cache record")
+        if pos != size:
+            raise ValueError(f"{size - pos} bytes after the last ball cache record")
+        fields = list(map(_RECORD.unpack_from, itertools.repeat(data, count), key_ends))
+        ball = cls(group, radius)
+        ball._extend(list(map(group.decode_key, keys)), keys,
+                     [length for length, _, _, _ in fields],
+                     [(parent, gen) for _, parent, gen, _ in fields],
+                     [weight for _, _, _, weight in fields])
         ball._recompute_offsets()
         return ball
 
@@ -295,7 +312,7 @@ def build_ball(group: GroupInterface, radius: int) -> Ball:
     inverse = ball.inverse_gens
 
     ident = group.resolve(group.identity)
-    ball._append(ident, group.key(ident), 0, -1, -1, 0)
+    ball._extend([ident], [group.key(ident)], [0], [(-1, -1)], [0])
     level = range(1)
     for depth in range(1, radius + 1):
         # the least (weight, parent index, generator) edge of each new element
@@ -321,10 +338,12 @@ def build_ball(group: GroupInterface, radius: int) -> Ball:
                 if prev is None or edge < prev:
                     best[elem] = edge
         # keys are injective, so sorting never compares past the key
+        keyed = sorted(zip(map(group.key, best), best))
+        elems = [elem for _, elem in keyed]
+        edges = list(map(best.__getitem__, elems))
         start = len(ball)
-        for key, elem in sorted((group.key(elem), elem) for elem in best):
-            w, pi, gi = best[elem]
-            ball._append(elem, key, depth, pi, gi, w)
+        ball._extend(elems, [key for key, _ in keyed], [depth] * len(elems),
+                     [(pi, gi) for _, pi, gi in edges], [w for w, _, _ in edges])
         level = range(start, len(ball))
     ball._recompute_offsets()
     return ball

@@ -5,9 +5,12 @@ D-reduced base word) and multiplication concatenates base words, reducing
 with the relator system while every more-than-half replacement deposits the
 relator's central charge.  Both base words are D-reduced, so the reduction
 looks only around their junction; a factor with an empty base word (a
-central letter) only adds its vector.  The generating set consists of the
-base letters and a central alphabet assembled from the relator charges, a
-budgeted short-word enumeration, and a certified relator-power completion."""
+central letter) only adds its vector.  A product by a base letter adds a
+vector only when a replacement deposits a charge; most only append or
+cancel a letter and keep the left factor's vector.  The generating set
+consists of the base letters and a central alphabet assembled from the
+relator charges, a budgeted short-word enumeration, and a certified
+relator-power completion."""
 
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from operator import add
 from typing import Mapping, Optional, Sequence
 
 from .convexity import PreconditionViolated
-from .dehn import QuasiConstants, close_dehn_with_charges, d_reduce_with_charges
+from .dehn import QuasiConstants, _reduce, close_dehn_with_charges, d_reduce_with_charges
 from .groups import GroupInterface, pack_ints, unpack_ints
 from .words import Word, word_inverse
 
@@ -27,13 +30,15 @@ class MissingCentralGenerator(KeyError):
 
 
 class ExtElement:
-    """Central vector and base element; ``==`` and ``hash`` go by both."""
+    """Central vector and base element; ``==`` and ``hash`` go by both.  The
+    hash is computed on first use and kept."""
 
-    __slots__ = ("avec", "base")
+    __slots__ = ("avec", "base", "_hash")
 
     def __init__(self, avec: tuple[int, ...], base):
         self.avec = avec
         self.base = base
+        self._hash = None
 
     def __eq__(self, other):
         return (isinstance(other, ExtElement)
@@ -41,7 +46,10 @@ class ExtElement:
 
     def __hash__(self):
         # base elements compare by word, so hashing the word agrees with ==
-        return hash((self.avec, self.base.word))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.avec, self.base.word))
+        return h
 
     def __repr__(self):
         return f"ExtElement({self.avec}, {' '.join(self.base.word) or 'e'})"
@@ -172,11 +180,14 @@ class CentralExtension(GroupInterface):
         if not vb.word:
             # v is central: no reduction, no charge
             return ExtElement(_vec_add(u.avec, v.avec), ub)
-        word, consumed = d_reduce_with_charges(
-            ub.word + vb.word, self.dehn, self.charges, self.rank, split=len(ub.word)
-        )
-        base_elem = self.base.compose_element(word, ub, vb)
-        return ExtElement(_vec_add(_vec_add(u.avec, v.avec), consumed), base_elem)
+        word, ranks = _reduce(ub.word + vb.word, self.dehn, len(ub.word))
+        avec = u.avec
+        if v.avec != self._zero:
+            avec = _vec_add(avec, v.avec)
+        for r in ranks:
+            # each replacement deposits the charge of the relator it consumed
+            avec = _vec_add(avec, self.charges[self.dehn.relators[r]])
+        return ExtElement(avec, self.base.compose_element(word, ub, vb))
 
     def invert(self, u: ExtElement) -> ExtElement:
         # u.word followed by its formal inverse cancels freely, so no charge

@@ -15,20 +15,26 @@ from .words import Alphabet, Word, UnknownSymbol, free_reduce, word_inverse
 def pack_ints(values: Sequence[int]) -> bytes:
     """Fixed-width serialization of signed integers whose byte order agrees
     with numeric order (offset encoding, big endian)."""
-    out = bytearray()
+    out = b""
     for v in values:
         if not -(1 << 62) <= v < (1 << 62):
             raise OverflowError(f"coordinate out of key range: {v}")
-        out += struct.pack(">Q", v + (1 << 62))
-    return bytes(out)
+        out += (v + (1 << 62)).to_bytes(8, "big")
+    return out
+
+
+_UNPACKERS: dict = {}  # count -> the unpack of its compiled format
 
 
 def unpack_ints(key: bytes, count: int) -> tuple[int, ...]:
     """The ``count`` integers ``pack_ints`` wrote, in one unpack of a format
-    that ``struct`` compiles once; ValueError for a key of another length."""
+    compiled once per count; ValueError for a key of another length."""
     if len(key) != 8 * count:
         raise ValueError(f"a key of {count} integers has {8 * count} bytes, not {len(key)}")
-    return tuple(v - (1 << 62) for v in struct.unpack(f">{count}Q", key))
+    unpack = _UNPACKERS.get(count)
+    if unpack is None:
+        unpack = _UNPACKERS[count] = struct.Struct(f">{count}Q").unpack
+    return tuple([v - (1 << 62) for v in unpack(key)])
 
 
 class GroupInterface(abc.ABC):
@@ -174,14 +180,20 @@ class FreeGroup(GroupInterface):
 
 
 def encode_word(word: Sequence[str], alphabet: Alphabet) -> bytes:
-    return bytes(map(alphabet.index, word))
+    try:
+        return bytes(map(alphabet._index.__getitem__, word))
+    except KeyError:
+        for letter in word:
+            alphabet.index(letter)  # UnknownSymbol for the first unknown letter
+        raise
 
 
 def decode_word(key: bytes, alphabet: Alphabet) -> Word:
     names = alphabet.names
-    if key and max(key) >= len(names):
-        raise ValueError(f"letter index {max(key)} outside the alphabet")
-    return tuple(map(names.__getitem__, key))
+    try:
+        return tuple([names[i] for i in key])
+    except IndexError:
+        raise ValueError(f"letter index {max(key)} outside the alphabet") from None
 
 
 def check_group_axioms(group: GroupInterface, elements, trials: int = 100, rng=None) -> None:

@@ -421,16 +421,27 @@ def test_inside_path_respects_cap():
     assert p is not None and len(p) == 12
 
 
-def test_cache_round_trip(tmp_path, nil_xy):
-    ball = cached_ball(nil_xy, 6, cache_dir=str(tmp_path))
-    again = cached_ball(nil_xy, 6, cache_dir=str(tmp_path))
+@pytest.mark.parametrize("name, radius", [("nil_xy", 6), ("genus2_ext", 4)],
+                         ids=["nil", "central"])
+def test_cache_round_trip(tmp_path, request, name, radius):
+    """A ball read back has the built ball's records, an index that maps
+    every built element to its record, and elements that hash as the built
+    ones, whose hashes were kept from the build."""
+    group = request.getfixturevalue(name)
+    ball = cached_ball(group, radius, cache_dir=str(tmp_path))
+    again = cached_ball(group, radius, cache_dir=str(tmp_path))
     assert ball.to_bytes() == again.to_bytes()
-    direct = build_ball(nil_xy, 6)
+    direct = build_ball(group, radius)
     assert direct.to_bytes() == ball.to_bytes()
-    loaded = Ball.from_bytes(ball.to_bytes(), nil_xy)
-    assert loaded.lengths == ball.lengths
+    loaded = Ball.from_bytes(ball.to_bytes(), group)
     assert loaded.keys == ball.keys
+    assert loaded.lengths == ball.lengths
     assert loaded.parents == ball.parents
+    assert loaded.weights == ball.weights
+    assert loaded.sphere_offsets == ball.sphere_offsets
+    assert loaded.elements == ball.elements
+    assert [loaded.locate(elem) for elem in ball.elements] == list(range(len(ball)))
+    assert [hash(elem) for elem in loaded.elements] == [hash(elem) for elem in ball.elements]
 
 
 def test_cache_round_trip_surface(tmp_path, surface2):
@@ -454,6 +465,20 @@ def test_cache_rejects_damaged_files(nil_xy, surface2):
     data[17 + 18 + 2] = 0xFF
     with pytest.raises(ValueError):
         Ball.from_bytes(bytes(data), surface2)
+
+
+def test_damaged_cache_registers_no_word():
+    """The framing of every record is checked before any key decodes, so a
+    truncated, over-long or trailing-byte surface cache read into a fresh
+    group registers no word, and keys resolved later do not change."""
+    data = build_ball(SurfaceGroup(2), 3).to_bytes()
+    count = int.from_bytes(data[10:14], "big")
+    fewer = data[:10] + (count - 1).to_bytes(4, "big") + data[14:]
+    for bad in (data[:-1], data[: len(data) // 2], fewer, data + b"\0"):
+        group = SurfaceGroup(2)
+        with pytest.raises(ValueError):
+            Ball.from_bytes(bad, group)
+        assert not group._registered
 
 
 def _rekey(data, index, rekey):
