@@ -276,7 +276,7 @@ def run_command(argv) -> int:
     except GroupSpecError as exc:
         _emit(exc.record())
         return 1
-    except (UnknownSymbol, ValueError, KeyError, AssertionError) as exc:
+    except (UnknownSymbol, ValueError, KeyError, AssertionError, OSError) as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return 1
 

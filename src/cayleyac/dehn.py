@@ -2,20 +2,16 @@
 cyclic permutation, greedy more-than-half reduction, and empirical
 measurement of quasigeodesic and fellow-traveler constants.
 
-Each reduction step replaces the longest, then leftmost, more-than-half
-relator prefix of the word.  Dehn's algorithm is local: a caller that
-passes ``split=k`` states that word[:k] and word[k:] are each D-reduced, so
-every match crosses the junction.  The loop then cancels freely at the
-junction only and scans only the starts within half a relator of the spliced
-region.  The replacements, and so the result, are those of a scan of the
-whole word, which is what runs without a split.
-
-A right factor of one letter takes one step.  A free cancellation leaves a
-prefix of the left factor, which is D-reduced.  Otherwise any match ends at
-the new letter and holds exactly len(r) // 2 + 1 letters of its relator r
-(one letter fewer would be a match inside the left factor), so only those
-suffixes are walked down the trie, and the loop runs only when one matches.
-The random and exhaustive word samplers grow their words by the same test."""
+Each reduction step replaces the leftmost of the longest more-than-half
+relator prefixes of the word, found by a scan of the whole word, and then
+freely reduces.  A caller that passes ``split=k`` states that word[:k] and
+word[k:] are each D-reduced; the split is used only when the right part is
+one letter.  Then a free cancellation leaves a prefix of the left factor,
+which is D-reduced.  Otherwise any match ends at the new letter and holds
+exactly len(r) // 2 + 1 letters of its relator r (one letter fewer would be
+a match inside the left factor), so only those suffixes are walked down the
+trie, and the whole-word loop runs only when one matches.  The random and
+exhaustive word samplers grow their words by the same test."""
 
 from __future__ import annotations
 
@@ -48,7 +44,6 @@ class DehnSystem:
             if not r:
                 raise EmptyRelator("empty relator")
         self._trie = self._build_trie()
-        self.max_relator_len = max((len(r) for r in self.relators), default=0)
         # the lengths len(r) // 2 + 1 of the shortest more-than-half prefixes
         self._match_lengths = tuple(sorted({len(r) // 2 + 1 for r in self.relators}))
         self._inverse = {name: alphabet.inverse(name) for name in alphabet.names}
@@ -102,11 +97,11 @@ class DehnSystem:
                     return True
         return False
 
-    def scan(self, word: Sequence[str], lo: int = 0, hi: Optional[int] = None):
-        """Leftmost-longest match starting in word[lo:hi] (the whole word by
-        default): (position, replacement, consumed, relator rank) or None."""
+    def scan(self, word: Sequence[str]):
+        """Leftmost-longest match in word: (position, replacement, consumed,
+        relator rank) or None."""
         best = None
-        for start in range(lo, len(word) if hi is None else hi):
+        for start in range(len(word)):
             hit = self.longest_match(word, start)
             if hit is not None and (best is None or hit[1] > best[2]):
                 best = (start, hit[0], hit[1], hit[2])
@@ -150,76 +145,36 @@ def _reduce(word: Sequence[str], system: DehnSystem,
     ``d_reduce_with_charges``: the reduced word, and the ranks of the
     relators whose more-than-half prefixes it replaced, in order.
 
-    The word is kept as P + X + S with P and S D-reduced.  A match cannot
-    lie inside P or S, and its part in P is at most half of its relator, so
-    it starts in X or in the last max_relator_len // 2 letters of P; only
-    those starts are scanned.  Without a split X is the whole word.  Each
-    step picks the leftmost of the longest matches of the whole word, as a
-    scan of every start would.
-
-    A right factor of one letter, which every product by a generator has,
-    takes a shorter step: a free cancellation leaves a prefix of the
-    D-reduced left factor, and otherwise the word is D-reduced unless a
-    match ends at the new letter.  Only a word with such a match enters the
-    loop."""
-    inverse = system._inverse
+    A right factor of one letter (``split == len(word) - 1``), which every
+    product by a generator has, takes one step: a free cancellation leaves
+    a prefix of the D-reduced left factor, and otherwise the word is
+    D-reduced unless a match ends at the new letter.  Every other word, and
+    a one-letter product with such a match, runs the whole-word loop: free
+    reduction, then the leftmost of the longest matches replaced and the
+    result freely reduced again until no match is left."""
     if split is not None and split == len(word) - 1:
-        if split and word[-2] == inverse[word[-1]]:
+        if split and word[-2] == system._inverse[word[-1]]:
             return tuple(word[:-2]), []
         if not system.ends_in_match(word):
             return tuple(word), []
-    if split is None:
-        current = free_reduce(word, system.alphabet)
-        p, q = 0, len(current)
-    else:
-        # both factors are freely reduced: cancel at the junction only
-        current = tuple(word)
-        cut = 0
-        while (cut < split and split + cut < len(current)
-               and current[split - 1 - cut] == inverse[current[split + cut]]):
-            cut += 1
-        if cut:
-            current = current[:split - cut] + current[split + cut:]
-        p = q = split - cut
-    reach = system.max_relator_len // 2
+    current = free_reduce(word, system.alphabet)
     ranks: list[int] = []
     while True:
-        hit = system.scan(current, max(0, p - reach), q)
+        hit = system.scan(current)
         if hit is None:
             return current, ranks
         start, replacement, consumed, rank = hit
         ranks.append(rank)
-        # splice, then free-reduce between the untouched D-reduced prefix
-        # current[:keep] and suffix current[tail:]
-        end = start + consumed
-        keep = min(start, p)
-        tail = max(end, q)
-        stack = list(current[:keep])
-        low = keep
-        for letter in current[keep:start] + replacement + current[end:tail]:
-            if stack and stack[-1] == inverse[letter]:
-                stack.pop()
-                low = min(low, len(stack))
-            else:
-                stack.append(letter)
-        suffix = current[tail:]
-        cut = 0
-        while cut < len(suffix) and stack and stack[-1] == inverse[suffix[cut]]:
-            stack.pop()
-            cut += 1
-        # current[:low] is untouched; letters pushed after a cut into the
-        # prefix are new, so the D-reduced prefix ends at the cut
-        p = min(low, len(stack))
-        q = len(stack)
-        current = tuple(stack) + suffix[cut:]
+        current = free_reduce(current[:start] + replacement + current[start + consumed:],
+                              system.alphabet)
 
 
 def d_reduce(word: Sequence[str], system: DehnSystem, split: Optional[int] = None) -> Word:
     """Freely reduce and replace more-than-half relator subwords by the
     inverse of the remainder until neither applies.  Never longer than the
     input; evaluation unchanged.  ``split=k`` states that word[:k] and
-    word[k:] are each D-reduced; the result is the same, found by looking
-    only where a match can cross the junction."""
+    word[k:] are each D-reduced; it is used only when word[k:] is one letter,
+    which then takes one step, and the result is the same as without it."""
     return _reduce(word, system, split)[0]
 
 

@@ -8,9 +8,12 @@ parent index, generator index) and is keyed once; new elements are inserted
 in key order.  Balls and all their witnesses are therefore reproducible bit
 for bit across runs.  A ball indexes its elements by value; every lookup of
 an element goes through ``Ball.locate``.  Records are added in bulk, one
-level at a time; a cache file is checked record by record for its framing
-before any key decodes, so a damaged file is refused before decoding can
-register anything in the group.
+level at a time.  A cache file is checked record by record for its framing
+before any key decodes, and every key decodes, to the element as written,
+before any element resolves; so a damaged file, or one with a bad key, is
+refused before anything is registered in the group, and a group that
+registered other words first reads each element as the representative it
+holds.
 
 Sphere pairs, inside paths and witness checks read one integer-indexed
 Cayley graph per ball (``Ball.graph``), grown a sphere at a time with each
@@ -255,7 +258,8 @@ class Ball:
         """Decode a ball written by ``to_bytes``.  Raises ValueError when the
         data is truncated or over-long, of another format version, with a
         last header byte other than 1, or for a generating set of another
-        size; these are all checked before the first key decodes."""
+        size, all checked before the first key decodes, or for a key that
+        does not decode, before the first element resolves."""
         if data[:4] != _MAGIC:
             raise ValueError("not a ball cache file")
         if len(data) < 17:
@@ -286,8 +290,16 @@ class Ball:
         if pos != size:
             raise ValueError(f"{size - pos} bytes after the last ball cache record")
         fields = list(map(_RECORD.unpack_from, itertools.repeat(data, count), key_ends))
+        # every key decodes before any element resolves, so a bad key
+        # registers nothing, and each element resolves to the group's
+        # representative, which a group with history may hold for another
+        # word; resolved in place, so that no second list of N elements lives
+        elements = list(map(group.decode_key, keys))
+        resolve = group.resolve
+        for i, elem in enumerate(elements):
+            elements[i] = resolve(elem)
         ball = cls(group, radius)
-        ball._extend(list(map(group.decode_key, keys)), keys,
+        ball._extend(elements, keys,
                      [length for length, _, _, _ in fields],
                      [(parent, gen) for _, parent, gen, _ in fields],
                      [weight for _, _, _, weight in fields])

@@ -3,14 +3,15 @@
 The cocycle is never materialized: an element is a pair (central vector,
 D-reduced base word) and multiplication concatenates base words, reducing
 with the relator system while every more-than-half replacement deposits the
-relator's central charge.  Both base words are D-reduced, so the reduction
-looks only around their junction; a factor with an empty base word (a
-central letter) only adds its vector.  A product by a base letter adds a
-vector only when a replacement deposits a charge; most only append or
-cancel a letter and keep the left factor's vector.  The generating set
-consists of the base letters and a central alphabet assembled from the
-relator charges, a budgeted short-word enumeration, and a certified
-relator-power completion."""
+relator's central charge.  Both base words are D-reduced, so a product by
+one base letter is reduced in one step (see ``dehn``); a factor with an
+empty base word (a central letter) only adds its vector.  A product by a
+base letter adds a vector only when a replacement deposits a charge; most
+only append or cancel a letter and keep the left factor's vector.  The
+generating set consists of the base letters and a central alphabet
+assembled from the relator charges, a budgeted short-word enumeration, and
+a certified relator-power completion.  A key decodes to its vector and base
+word as given; ``resolve`` moves the vector onto the base representative."""
 
 from __future__ import annotations
 
@@ -209,7 +210,7 @@ class CentralExtension(GroupInterface):
         # reduction of word * rep^-1 to the empty word collects the charge
         _, consumed = d_reduce_with_charges(
             elem.base.word + word_inverse(rep.word, self.base.alphabet),
-            self.dehn, self.charges, self.rank, split=len(elem.base.word),
+            self.dehn, self.charges, self.rank,
         )
         return ExtElement(_vec_add(elem.avec, consumed), rep)
 

@@ -113,7 +113,12 @@ class IntegerLattice(GroupInterface):
         self.rank = rank
         names = ["x", "y", "w"][:rank] if rank <= 3 else [f"g{i}" for i in range(rank)]
         self.alphabet = Alphabet(names)
-        self._names = names
+        self._images = {}
+        for i, name in enumerate(names):
+            vec = [0] * rank
+            vec[i] = 1
+            self._images[name] = tuple(vec)
+            self._images[self.alphabet.inverse(name)] = tuple(-x for x in vec)
 
     @property
     def identity(self):
@@ -127,13 +132,7 @@ class IntegerLattice(GroupInterface):
 
     @property
     def generator_images(self):
-        images = {}
-        for i, name in enumerate(self._names):
-            vec = [0] * self.rank
-            vec[i] = 1
-            images[name] = tuple(vec)
-            images[self.alphabet.inverse(name)] = tuple(-x for x in vec)
-        return images
+        return self._images
 
     def key(self, elem):
         return pack_ints(elem)
@@ -154,6 +153,7 @@ class FreeGroup(GroupInterface):
         self.rank = rank
         names = ["a", "b", "c", "d"][:rank] if rank <= 4 else [f"a{i}" for i in range(rank)]
         self.alphabet = Alphabet(names)
+        self._images = {name: (name,) for name in self.alphabet.names}
 
     @property
     def identity(self) -> Word:
@@ -167,7 +167,7 @@ class FreeGroup(GroupInterface):
 
     @property
     def generator_images(self):
-        return {name: (name,) for name in self.alphabet.names}
+        return self._images
 
     def key(self, elem: Word) -> bytes:
         return encode_word(elem, self.alphabet)

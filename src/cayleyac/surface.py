@@ -17,8 +17,8 @@ one int, then the four matrix entries.  The packing (coordinate i times
 and injective while every coordinate is below 2**31 in absolute value.  A
 product's fingerprint is the product of its factors', one matrix product.
 
-Words are D-reduced throughout, so a product of two words reduces only
-around their junction (see ``dehn``).
+Words are D-reduced throughout, so a product by one letter is reduced in one
+step (see ``dehn``).
 
 Representatives come from a clustering memo that keeps the first word it
 sees for each element; which word that is does not depend on the
@@ -27,7 +27,8 @@ candidates in a fixed order, so the keys of resolved elements are
 reproducible, but they depend on what the instance resolved before.  The
 memo also maps each registered word to its fingerprint: no two registered
 words are one element, so a registered word resolves to itself at once,
-and its key decodes without folding the word.
+and its key decodes without folding the word.  A key decodes to its own
+word, unresolved; a reader resolves it (see ``Ball.from_bytes``).
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ def _surface_images(genus: int, rng: random.Random) -> list:
 
 class SurfaceElement:
     """A word with its fingerprint.  Invariant: the word is D-reduced, which
-    every product and inverse keeps and ``decode_key`` checks; products
-    reduce only around the junction of their factors on the strength of it.
+    every product and inverse keeps and ``decode_key`` checks; a product by
+    one letter is reduced in one step on the strength of it.
     ``==`` and ``hash`` go by the word (the fingerprint is a function of the
     group element), so two words for one group element are unequal until
     resolved."""
@@ -190,8 +191,7 @@ class SurfaceGroup(GroupInterface):
             return elem
         bucket = self._registry.setdefault(elem.fp, [])
         for rep in bucket:
-            if not d_reduce(word + word_inverse(rep, self.alphabet), self.dehn,
-                            split=len(word)):
+            if not d_reduce(word + word_inverse(rep, self.alphabet), self.dehn):
                 return SurfaceElement(rep, elem.fp)
         bucket.append(word)
         self._registered[word] = elem.fp
@@ -201,16 +201,17 @@ class SurfaceGroup(GroupInterface):
         return encode_word(elem.word, self.alphabet)
 
     def decode_key(self, key: bytes) -> SurfaceElement:
-        """The element of a key; a registered word keeps its stored
+        """The key's word with its fingerprint, as given: not resolved, so
+        decoding registers nothing.  A registered word keeps its stored
         fingerprint.  Raises ValueError for a word that is not D-reduced,
         which no key of an element is."""
         word = decode_word(key, self.alphabet)
         fp = self._registered.get(word)
-        if fp is not None:
-            return SurfaceElement(word, fp)
-        if not is_d_reduced(word, self.dehn):
-            raise ValueError(f"key word {' '.join(word)} is not D-reduced")
-        return self.resolve(SurfaceElement(word, self._fp_of_word(word)))
+        if fp is None:
+            if not is_d_reduced(word, self.dehn):
+                raise ValueError(f"key word {' '.join(word)} is not D-reduced")
+            fp = self._fp_of_word(word)
+        return SurfaceElement(word, fp)
 
     def fingerprint(self) -> str:
         return self.word_fingerprint(f"surface genus={self.genus}")

@@ -204,6 +204,38 @@ def test_unknown_group_exit_code(tmp_path, capsys):
     assert record["error"] == "UnknownKind"
 
 
+@pytest.mark.parametrize("case, error", [
+    ("missing_group", "FileNotFoundError"),
+    ("missing_profile", "FileNotFoundError"),
+    ("out_in_missing_dir", "FileNotFoundError"),
+    ("cache_dir_is_a_file", "FileExistsError"),
+    ("cache_path_is_a_dir", "IsADirectoryError"),
+])
+def test_os_errors_are_error_records(tmp_path, capsys, case, error):
+    """A file that cannot be read or written ends in one JSON record naming
+    the OS error's class, with exit status 1, not in a traceback."""
+    nil = _write(tmp_path, "n1.group", "kind=heisenberg e=1 gens=plain")
+    missing = os.path.join(tmp_path, "missing")
+    cache = os.path.join(tmp_path, "cache")
+    argv = {
+        "missing_group": ["ball", "--group", missing, "--radius", "1"],
+        "missing_profile": ["report", "--profile", missing + ".csv"],
+        "out_in_missing_dir": ["ac-check", "--group", nil, "--radius", "2",
+                               "--out", os.path.join(missing, "prof.csv")],
+        "cache_dir_is_a_file": ["--cache-dir", nil, "ball", "--group", nil, "--radius", "1"],
+        "cache_path_is_a_dir": ["--cache-dir", cache, "ball", "--group", nil, "--radius", "1"],
+    }[case]
+    if case == "cache_path_is_a_dir":
+        group = build_group(parse_group_spec("kind=heisenberg e=1 gens=plain"))
+        os.makedirs(os.path.join(
+            cache, f"{group.fingerprint()}__{group.gens_fingerprint()}__r1.ball"))
+    assert run_command(argv) == 1
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1
+    record = json.loads(out)
+    assert record["error"] == error and record["detail"]
+
+
 def test_non_positive_sizes_are_error_records(tmp_path, capsys):
     nil = _write(tmp_path, "n1.group", "kind=heisenberg e=1 gens=plain")
     out = os.path.join(tmp_path, "prof.csv")

@@ -12,6 +12,7 @@ from cayleyac.dehn import (_LAMBDA_GRID, DehnSystem, EmptyRelator, _fit_quasi,
                            measure_quasi_constants, surface_alphabet,
                            surface_relator, triangle_relators)
 from cayleyac.explorer import build_ball
+from cayleyac.extensions import CentralExtension
 from cayleyac.groups import FreeGroup
 from cayleyac.surface import SurfaceGroup
 from cayleyac.triangle import TriangleGroup
@@ -426,6 +427,31 @@ def test_split_reduction_after_a_cut_into_the_prefix():
     want = _full_scan_reduce(u + v, system)[0]
     assert want == ("b", "a", "b-", "a-")
     assert d_reduce(u + v, system, split=len(u)) == want
+
+
+@pytest.mark.parametrize("central, products, scans", [
+    (False, 3200, [16]), (True, 5464, [16, 16]),
+])
+def test_ball_products_take_the_one_letter_step(central, products, scans):
+    """Building B(4) of the genus-2 surface group, or of its central
+    extension, scans whole words only where ``resolve`` compares a word
+    with a representative of its fingerprint and, in the extension, moves
+    the charge onto it.  Every product has a one-letter right factor, and
+    none in B(4) ends a match, so a product routed around the one-letter
+    step would show as thousands more scans.  Scans are counted on the
+    surface's relator system and, for the extension, on its charged one."""
+    base = SurfaceGroup(2)
+    group = CentralExtension(base, {base.relator: (1,)}) if central else base
+    systems = [base.dehn, group.dehn] if central else [base.dehn]
+    counts = [[] for _ in systems]
+    for system, count in zip(systems, counts):
+        system.scan = lambda word, scan=system.scan, count=count: count.append(1) or scan(word)
+    made = []
+    multiply = group.multiply
+    group.multiply = lambda u, v: made.append(1) or multiply(u, v)
+    build_ball(group, 4)
+    assert len(made) == products
+    assert [len(count) for count in counts] == scans
 
 
 def test_dehn_groups_freed_by_reference_counting(monkeypatch):

@@ -11,7 +11,7 @@ from cayleyac.explorer import (UNKNOWN, Ball, ElementAbsent, RadiusUnavailable,
                                inside_path, sphere_pair_counts, sphere_pairs)
 from cayleyac.extensions import CentralExtension
 from cayleyac.finite_ext import FiniteNilExtension, klein_bottle_config
-from cayleyac.groups import FreeGroup, IntegerLattice
+from cayleyac.groups import FreeGroup, IntegerLattice, encode_word
 from cayleyac.nil import NilGenSet, NilGroup
 from cayleyac.sol import SolLattice
 from cayleyac.surface import SurfaceGroup
@@ -491,6 +491,35 @@ def _rekey(data, index, rekey):
     end = pos + 2 + int.from_bytes(data[pos : pos + 2], "big")
     key = rekey(data[pos + 2 : end])
     return data[:pos] + len(key).to_bytes(2, "big") + key + data[end:]
+
+
+def test_cache_with_a_bad_last_key_registers_no_word():
+    """Every key decodes before any element resolves, so a surface cache
+    whose last key is not D-reduced is refused before a word is
+    registered."""
+    data = build_ball(SurfaceGroup(2), 2).to_bytes()
+    count = int.from_bytes(data[10:14], "big")
+    group = SurfaceGroup(2)
+    bad = _rekey(data, count - 1, lambda key: encode_word(("a1", "a1-"), group.alphabet))
+    with pytest.raises(ValueError):
+        Ball.from_bytes(bad, group)
+    assert not group._registered
+
+
+def test_central_cache_read_into_a_group_with_history():
+    """A central B(4) read into a group whose base first registered
+    b2 a2 b2- a2-, an element the writing group holds as a1 b1 a1- b1-:
+    each record reads as the element its parent edges spell, with the
+    charge moved onto the reading group's word, and each element of the
+    written ball locates at its own index."""
+    written = build_ball(_central_extension(), 4)
+    group = _central_extension()
+    group.base.resolve(group.base.evaluate(("b2", "a2", "b2-", "a2-")))
+    read = Ball.from_bytes(written.to_bytes(), group)
+    for i, elem in enumerate(read.elements):
+        assert group.element_equal(elem, group.evaluate(read.geodesic_witness(i))), i
+    for i in range(len(written)):
+        assert read.locate(group.evaluate(written.geodesic_witness(i))) == i
 
 
 @pytest.mark.parametrize("make, rekey", [

@@ -5,8 +5,10 @@ import pytest
 
 from cayleyac.dehn import is_d_reduced
 from cayleyac.explorer import build_ball
-from cayleyac.groups import encode_word
+from cayleyac.groups import FreeGroup, IntegerLattice, encode_word
+from cayleyac.sol import SolLattice
 from cayleyac.surface import SurfaceGroup
+from cayleyac.triangle import TriangleGroup
 from cayleyac.words import free_reduce, word_inverse
 
 
@@ -24,8 +26,21 @@ def test_fingerprints_separate_ball(genus, radius):
     assert len({elem.fp for elem in ball.elements}) == len(ball)
 
 
-def test_generator_images_built_once(surface2):
-    assert surface2.generator_images is surface2.generator_images
+@pytest.mark.parametrize("family", [
+    "lattice", "free", "nil_hex", "sol", "klein", "s2222", "surface2", "central", "triangle",
+])
+def test_generator_images_built_once(request, family):
+    """Every family builds its generator images once, in ``__init__``: ball
+    builds and index walks read them per letter."""
+    make = {
+        "lattice": lambda: IntegerLattice(2),
+        "free": lambda: FreeGroup(2),
+        "sol": lambda: SolLattice(((2, 1), (1, 1))),
+        "central": lambda: request.getfixturevalue("genus2_ext"),
+        "triangle": lambda: TriangleGroup(2, 3, 7),
+    }.get(family, lambda: request.getfixturevalue(family))
+    group = make()
+    assert group.generator_images is group.generator_images
 
 
 def test_equal_elements_same_key(surface2):
@@ -90,7 +105,7 @@ def test_ball_words_d_reduced_and_keys_round_trip(surface2, surface_ball5, monke
     """Every word of B(5) is D-reduced, which products rely on to reduce
     only at the junction.  Keys decode to the element with its fingerprint,
     on the instance that registered them (no fold, no reduction) and on a
-    fresh one (folded and resolved)."""
+    fresh one (folded, not resolved)."""
     from cayleyac import surface
 
     fresh = SurfaceGroup(2)
