@@ -4,14 +4,12 @@ measurement of quasigeodesic and fellow-traveler constants.
 
 Each reduction step replaces the leftmost of the longest more-than-half
 relator prefixes of the word, found by a scan of the whole word, and then
-freely reduces.  A caller that passes ``split=k`` states that word[:k] and
-word[k:] are each D-reduced; the split is used only when the right part is
-one letter.  Then a free cancellation leaves a prefix of the left factor,
-which is D-reduced.  Otherwise any match ends at the new letter and holds
-exactly len(r) // 2 + 1 letters of its relator r (one letter fewer would be
-a match inside the left factor), so only those suffixes are walked down the
-trie, and the whole-word loop runs only when one matches.  The random and
-exhaustive word samplers grow their words by the same test."""
+freely reduces.  Group products do not reduce here: surface groups and
+their central extensions multiply by shortlex rewriting (see ``surface``).
+The reduction serves the word problem, the relator charges and the measured
+constants.  The random and exhaustive word samplers grow D-reduced words a
+letter at a time, testing only the matches that end at the new letter
+(``DehnSystem.ends_in_match``)."""
 
 from __future__ import annotations
 
@@ -19,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .words import Alphabet, Word, free_reduce, word_inverse
 
@@ -139,24 +137,12 @@ def close_dehn_with_charges(base: Mapping[Word, tuple[int, ...]],
     return system, charges
 
 
-def _reduce(word: Sequence[str], system: DehnSystem,
-            split: Optional[int]) -> tuple[Word, list[int]]:
+def _reduce(word: Sequence[str], system: DehnSystem) -> tuple[Word, list[int]]:
     """The greedy reduction loop behind ``d_reduce`` and
     ``d_reduce_with_charges``: the reduced word, and the ranks of the
-    relators whose more-than-half prefixes it replaced, in order.
-
-    A right factor of one letter (``split == len(word) - 1``), which every
-    product by a generator has, takes one step: a free cancellation leaves
-    a prefix of the D-reduced left factor, and otherwise the word is
-    D-reduced unless a match ends at the new letter.  Every other word, and
-    a one-letter product with such a match, runs the whole-word loop: free
+    relators whose more-than-half prefixes it replaced, in order.  Free
     reduction, then the leftmost of the longest matches replaced and the
     result freely reduced again until no match is left."""
-    if split is not None and split == len(word) - 1:
-        if split and word[-2] == system._inverse[word[-1]]:
-            return tuple(word[:-2]), []
-        if not system.ends_in_match(word):
-            return tuple(word), []
     current = free_reduce(word, system.alphabet)
     ranks: list[int] = []
     while True:
@@ -169,21 +155,19 @@ def _reduce(word: Sequence[str], system: DehnSystem,
                               system.alphabet)
 
 
-def d_reduce(word: Sequence[str], system: DehnSystem, split: Optional[int] = None) -> Word:
+def d_reduce(word: Sequence[str], system: DehnSystem) -> Word:
     """Freely reduce and replace more-than-half relator subwords by the
     inverse of the remainder until neither applies.  Never longer than the
-    input; evaluation unchanged.  ``split=k`` states that word[:k] and
-    word[k:] are each D-reduced; it is used only when word[k:] is one letter,
-    which then takes one step, and the result is the same as without it."""
-    return _reduce(word, system, split)[0]
+    input; evaluation unchanged."""
+    return _reduce(word, system)[0]
 
 
 def d_reduce_with_charges(word: Sequence[str], system: DehnSystem,
                           charges: Mapping[Word, tuple[int, ...]],
-                          rank: int, split: Optional[int] = None) -> tuple[Word, tuple[int, ...]]:
+                          rank: int) -> tuple[Word, tuple[int, ...]]:
     """``d_reduce`` that also sums the central charges of the relators its
     replacements consumed, one instance per replacement."""
-    reduced, ranks = _reduce(word, system, split)
+    reduced, ranks = _reduce(word, system)
     total = [0] * rank
     for r in ranks:
         for k, c in enumerate(charges[system.relators[r]]):
@@ -198,8 +182,7 @@ def is_d_reduced(word: Sequence[str], system: DehnSystem) -> bool:
 
 
 def _appends_d_reduced(prefix: Word, letter: str, system: DehnSystem) -> bool:
-    """Whether prefix + (letter,) is D-reduced, for a D-reduced prefix: the
-    test of the one-letter step of ``_reduce``."""
+    """Whether prefix + (letter,) is D-reduced, for a D-reduced prefix."""
     if prefix and prefix[-1] == system._inverse[letter]:
         return False
     return not system.ends_in_match(prefix + (letter,))
@@ -315,7 +298,7 @@ class _BallWalk:
     def _step(self, state: int, letter: str) -> int:
         group, ball = self.group, self.ball
         elem = ball.elements[state] if state >= 0 else self._outside[~state]
-        product = group.resolve(group.multiply(elem, group.generator_images[letter]))
+        product = group.multiply(elem, group.generator_images[letter])
         nxt = ball.index.get(product)
         if nxt is None:
             nxt = self._outside_ids.get(product)

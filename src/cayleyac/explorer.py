@@ -1,19 +1,15 @@
 """Exact breadth-first enumeration of Cayley-graph balls.
 
-Expansion is level-synchronous.  Within a level, products are taken in
-parent x generator order, the order ``Ball.graph`` uses, and resolved only
-when they are not indexed as given, so word groups register new elements in
-one order.  Each new element keeps its least edge by (witness weight,
-parent index, generator index) and is keyed once; new elements are inserted
-in key order.  Balls and all their witnesses are therefore reproducible bit
-for bit across runs.  A ball indexes its elements by value; every lookup of
-an element goes through ``Ball.locate``.  Records are added in bulk, one
-level at a time.  A cache file is checked record by record for its framing
-before any key decodes, and every key decodes, to the element as written,
-before any element resolves; so a damaged file, or one with a bad key, is
-refused before anything is registered in the group, and a group that
-registered other words first reads each element as the representative it
-holds.
+Every group represents each element one way, so ``==`` on elements is
+group equality and a key depends only on the element.  Expansion is
+level-synchronous.  Within a level, products are taken in parent x
+generator order, the order ``Ball.graph`` uses.  Each new element keeps its
+least edge by (witness weight, parent index, generator index) and is keyed
+once; new elements are inserted in key order.  Balls and all their
+witnesses are therefore reproducible bit for bit across runs.  A ball
+indexes its elements by value.  Records are added in bulk, one level at a
+time.  A cache file is checked record by record for its framing before any
+key decodes, and a key that does not decode refuses the file.
 
 Sphere pairs, inside paths and witness checks read one integer-indexed
 Cayley graph per ball (``Ball.graph``), grown a sphere at a time with each
@@ -70,7 +66,7 @@ class Ball:
         self.lengths: list[int] = []
         self.parents: list[tuple[int, int]] = []  # (parent index, generator index)
         self.weights: list[int] = []
-        self.index: dict = {}  # resolved element -> index
+        self.index: dict = {}  # element -> index
         self.sphere_offsets: list[int] = [0]
         # inverse_gens[g] is the generator index of the inverse of generator g
         alphabet = group.alphabet
@@ -122,10 +118,8 @@ class Ball:
         return [len(self.sphere(n)) for n in range(self.radius + 1)]
 
     def locate(self, elem) -> Optional[int]:
-        """Index of an element, or None when it lies outside the ball.  The
-        element is resolved to its representative, which is what the index
-        holds."""
-        return self.index.get(self.group.resolve(elem))
+        """Index of an element, or None when it lies outside the ball."""
+        return self.index.get(elem)
 
     def find(self, elem) -> int:
         """Index of an element; raises ElementAbsent outside the ball."""
@@ -172,14 +166,12 @@ class Ball:
 
     def _grow(self) -> None:
         """Complete the rows of the next sphere.  Each product is looked up
-        as given and, on a miss, resolved: in the ball's index inside the
-        ball, in the outermost halo sphere past it; only a miss can register
-        a new representative.  A product found in neither is a new vertex of
-        the sphere beyond.  Each product also fills the edge back, so a
-        filled entry is never multiplied, nor is a parent edge of the next
-        ball sphere, seeded both ways.  Products come in vertex order x
-        generator order, as in ``build_ball``, so word groups register new
-        elements, all outside the ball, in that order."""
+        in the ball's index inside the ball, in the outermost halo sphere
+        past it; a product found in neither is a new vertex of the sphere
+        beyond.  Each product also fills the edge back, so a filled entry is
+        never multiplied, nor is a parent edge of the next ball sphere,
+        seeded both ways.  Products come in vertex order x generator order,
+        as in ``build_ball``, which numbers the halo."""
         group = self.group
         images = [group.generator_images[name] for name in self.gen_names]
         inverse = self.inverse_gens
@@ -208,9 +200,6 @@ class Ball:
                     continue
                 child = group.multiply(elem, img)
                 j = known.get(child)
-                if j is None:
-                    child = group.resolve(child)
-                    j = known.get(child)
                 if j is None:
                     j = fresh.get(child)
                     if j is None:
@@ -259,7 +248,7 @@ class Ball:
         data is truncated or over-long, of another format version, with a
         last header byte other than 1, or for a generating set of another
         size, all checked before the first key decodes, or for a key that
-        does not decode, before the first element resolves."""
+        does not decode."""
         if data[:4] != _MAGIC:
             raise ValueError("not a ball cache file")
         if len(data) < 17:
@@ -272,8 +261,7 @@ class Ball:
         if genc != len(group.alphabet.names):
             raise ValueError(f"cache has {genc} generators, the group has "
                              f"{len(group.alphabet.names)}")
-        # the framing of every record is checked before any key decodes, so
-        # a damaged file changes nothing that decoding a key can register
+        # the framing of every record is checked before any key decodes
         keys: list[bytes] = []
         key_ends: list[int] = []
         pos, size = 17, len(data)
@@ -290,14 +278,7 @@ class Ball:
         if pos != size:
             raise ValueError(f"{size - pos} bytes after the last ball cache record")
         fields = list(map(_RECORD.unpack_from, itertools.repeat(data, count), key_ends))
-        # every key decodes before any element resolves, so a bad key
-        # registers nothing, and each element resolves to the group's
-        # representative, which a group with history may hold for another
-        # word; resolved in place, so that no second list of N elements lives
         elements = list(map(group.decode_key, keys))
-        resolve = group.resolve
-        for i, elem in enumerate(elements):
-            elements[i] = resolve(elem)
         ball = cls(group, radius)
         ball._extend(elements, keys,
                      [length for length, _, _, _ in fields],
@@ -323,7 +304,7 @@ def build_ball(group: GroupInterface, radius: int) -> Ball:
     index = ball.index
     inverse = ball.inverse_gens
 
-    ident = group.resolve(group.identity)
+    ident = group.identity
     ball._extend([ident], [group.key(ident)], [0], [(-1, -1)], [0])
     level = range(1)
     for depth in range(1, radius + 1):
@@ -338,17 +319,12 @@ def build_ball(group: GroupInterface, radius: int) -> Ball:
                 if gi == back:
                     continue
                 child = group.multiply(parent, img)
-                # a child indexed as given is a registered representative
-                # already in the ball, so it needs no resolve
                 if child in index:
                     continue
-                elem = group.resolve(child)
-                if elem in index:
-                    continue
                 edge = (pw + gweights[gi], pi, gi)
-                prev = best.get(elem)
+                prev = best.get(child)
                 if prev is None or edge < prev:
-                    best[elem] = edge
+                    best[child] = edge
         # keys are injective, so sorting never compares past the key
         keyed = sorted(zip(map(group.key, best), best))
         elems = [elem for _, elem in keyed]

@@ -1,17 +1,16 @@
-"""Central extensions of Dehn-presented hyperbolic groups.
+"""Central extensions of surface groups.
 
 The cocycle is never materialized: an element is a pair (central vector,
-D-reduced base word) and multiplication concatenates base words, reducing
-with the relator system while every more-than-half replacement deposits the
-relator's central charge.  Both base words are D-reduced, so a product by
-one base letter is reduced in one step (see ``dehn``); a factor with an
-empty base word (a central letter) only adds its vector.  A product by a
-base letter adds a vector only when a replacement deposits a charge; most
-only append or cancel a letter and keep the left factor's vector.  The
-generating set consists of the base letters and a central alphabet
-assembled from the relator charges, a budgeted short-word enumeration, and
-a certified relator-power completion.  A key decodes to its vector and base
-word as given; ``resolve`` moves the vector onto the base representative."""
+base element), and the base element is the normal form of a surface group
+(see ``surface``), so ``==`` on elements is group equality and a key depends
+only on the element.  A product appends the base words and rewrites them
+with the base group's shortlex system; each rule l -> r it applies deposits
+its charge, the central vector that ``d_reduce_with_charges`` consumes in
+reducing l r^-1 to the empty word, worked out once per rule.  A factor with
+an empty base word (a central letter) only adds its vector.  The generating
+set consists of the base letters and a central alphabet assembled from the
+relator charges, a budgeted short-word enumeration, and a certified
+relator-power completion."""
 
 from __future__ import annotations
 
@@ -20,8 +19,9 @@ from operator import add
 from typing import Mapping, Optional, Sequence
 
 from .convexity import PreconditionViolated
-from .dehn import QuasiConstants, _reduce, close_dehn_with_charges, d_reduce_with_charges
+from .dehn import QuasiConstants, close_dehn_with_charges, d_reduce_with_charges
 from .groups import GroupInterface, pack_ints, unpack_ints
+from .surface import SurfaceElement
 from .words import Word, word_inverse
 
 
@@ -82,7 +82,7 @@ def _vec_neg(u):
 
 
 class CentralExtension(GroupInterface):
-    """G = Z^rank x_rho H for a Dehn-presented base group H."""
+    """G = Z^rank x_rho H for a surface group H."""
 
     def __init__(self, base, relator_charges: Mapping[Word, tuple[int, ...]],
                  rank: int = 1, quasi: Optional[QuasiConstants] = None,
@@ -96,6 +96,7 @@ class CentralExtension(GroupInterface):
             if len(charge) != rank:
                 raise ValueError("charge rank mismatch")
         self.dehn, self.charges = close_dehn_with_charges(base_rels, base.alphabet)
+        self._rule_charges: dict[Word, tuple[int, ...]] = {}  # rule lhs -> charge
 
         self._identity = ExtElement(self._zero, base.identity)
         self._images: dict[str, ExtElement] = {
@@ -176,43 +177,40 @@ class CentralExtension(GroupInterface):
     def identity(self) -> ExtElement:
         return self._identity
 
+    def _rewrite(self, avec: tuple[int, ...], word: Word, start: int = 0) -> ExtElement:
+        """The element (avec, word) with word rewritten to its normal form,
+        whose prefix word[:start] is one, and the charges of the rules
+        applied added to avec."""
+        applied: list[Word] = []
+        word = self.base.rewriting.rewrite(word, start, applied)
+        for lhs in applied:
+            charge = self._rule_charges.get(lhs)
+            if charge is None:
+                rhs = self.base.rewriting.rules[lhs]
+                rest, charge = d_reduce_with_charges(lhs + word_inverse(rhs, self.base.alphabet),
+                                                     self.dehn, self.charges, self.rank)
+                if rest:
+                    raise AssertionError(f"rule {lhs} -> {rhs} is no identity")
+                self._rule_charges[lhs] = charge
+            avec = _vec_add(avec, charge)
+        return ExtElement(avec, SurfaceElement(word))
+
     def multiply(self, u: ExtElement, v: ExtElement) -> ExtElement:
         ub, vb = u.base, v.base
+        avec = u.avec if v.avec == self._zero else _vec_add(u.avec, v.avec)
         if not vb.word:
-            # v is central: no reduction, no charge
-            return ExtElement(_vec_add(u.avec, v.avec), ub)
-        word, ranks = _reduce(ub.word + vb.word, self.dehn, len(ub.word))
-        avec = u.avec
-        if v.avec != self._zero:
-            avec = _vec_add(avec, v.avec)
-        for r in ranks:
-            # each replacement deposits the charge of the relator it consumed
-            avec = _vec_add(avec, self.charges[self.dehn.relators[r]])
-        return ExtElement(avec, self.base.compose_element(word, ub, vb))
+            # v is central: no rewriting, no charge
+            return ExtElement(avec, ub)
+        return self._rewrite(avec, ub.word + vb.word, len(ub.word))
 
     def invert(self, u: ExtElement) -> ExtElement:
-        # u.word followed by its formal inverse cancels freely, so no charge
-        return ExtElement(_vec_neg(u.avec), self.base.invert(u.base))
+        # u's word followed by its formal inverse cancels freely, so the
+        # formal inverse carries -avec before it is rewritten
+        return self._rewrite(_vec_neg(u.avec), word_inverse(u.base.word, self.base.alphabet))
 
     @property
     def generator_images(self):
         return self._images
-
-    def element_equal(self, u: ExtElement, v: ExtElement) -> bool:
-        diff = self.multiply(u, self.invert(v))
-        return not any(diff.avec) and self.base.element_equal(diff.base, self.base.identity)
-
-    def resolve(self, elem: ExtElement) -> ExtElement:
-        rep = self.base.resolve(elem.base)
-        if rep.word == elem.base.word:
-            return elem
-        # transport the central part onto the representative word; the
-        # reduction of word * rep^-1 to the empty word collects the charge
-        _, consumed = d_reduce_with_charges(
-            elem.base.word + word_inverse(rep.word, self.base.alphabet),
-            self.dehn, self.charges, self.rank,
-        )
-        return ExtElement(_vec_add(elem.avec, consumed), rep)
 
     def key(self, elem: ExtElement) -> bytes:
         return pack_ints(elem.avec) + self.base.key(elem.base)

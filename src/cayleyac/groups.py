@@ -41,10 +41,9 @@ class GroupInterface(abc.ABC):
     """Contract every concrete group implements: pure, immutable elements
     that hash by value, and one injective byte key per element.
 
-    ``==`` on elements means equal representation.  Word-based groups can
-    represent one group element by several words; ``resolve`` maps each to
-    its registered representative, and group equality is ``element_equal``.
-    ``key`` serializes an element as given, without resolving it; balls are
+    Each group element has exactly one representation, so ``==`` on
+    elements is group equality; word groups keep normal forms.  ``key``
+    serializes an element, so it depends only on the element; balls are
     ordered and stored by it, and ``decode_key`` inverts it."""
 
     alphabet: Alphabet
@@ -82,9 +81,9 @@ class GroupInterface(abc.ABC):
         return elem
 
     def resolve(self, elem: Any) -> Any:
-        """Normalize an element to its canonical representative.  Groups with
-        unique coordinates return the element unchanged; word-based groups
-        override this with their clustering memo."""
+        """The element itself, which is its only representation.  Nothing in
+        the package calls it; it is kept because the benchmark counts and
+        times its calls."""
         return elem
 
     def generator_weight(self, name: str) -> int:
@@ -98,7 +97,7 @@ class GroupInterface(abc.ABC):
         return hashlib.sha256(" ".join(self.alphabet.names).encode()).hexdigest()[:16]
 
     def element_equal(self, u: Any, v: Any) -> bool:
-        return self.resolve(u) == self.resolve(v)
+        return u == v
 
     def word_fingerprint(self, data: str) -> str:
         return hashlib.sha256(data.encode()).hexdigest()[:16]

@@ -1,106 +1,186 @@
-"""Orientable surface groups with Dehn reduction as the word problem.
+"""Orientable surface groups, one word per element.
 
-Equality is decided soundly.  A fingerprint -- the abelianization vector and
-the image under one homomorphism into SL(2, p) -- is a complete *negative*
-test, and words with equal fingerprints are compared by Dehn-reducing
-u * v^-1.  The homomorphism is written down in closed form: handle 1 goes to
-a random pair (U, W); each middle handle goes to (cWc^-1, cZc^-1) with
-c = [U, W] and a fresh Z, after which the product so far is again one
-commutator [cUWU^-1c^-1, cZU^-1c^-1]; the last handle goes to
-(cWc^-1, cUc^-1), whose commutator [U, W]^-1 closes the relator to I.  This
-map has a small built-in kernel (a2 and [a1,b1] b1 [a1,b1]^-1 have one
-image), which the abelianization vector separates.
+An element is the shortlex-least word that spells it, under the alphabet
+order a1 a1- b1 b1- a2 ...: its normal form, which is a geodesic.  So ``==``
+on elements is group equality, and a key (the word) depends only on the
+element.  A product appends the words and rewrites the result with a
+shortlex rewriting system (``ShortlexRewriting``); a key decodes only to a
+word that is its own normal form.
 
-The fingerprint is one flat 5-tuple: the abelianization vector packed into
-one int, then the four matrix entries.  The packing (coordinate i times
-2**(32 i)) is additive, so the fingerprint stays a function of the element,
-and injective while every coordinate is below 2**31 in absolute value.  A
-product's fingerprint is the product of its factors', one matrix product.
-
-Words are D-reduced throughout, so a product by one letter is reduced in one
-step (see ``dehn``).
-
-Representatives come from a clustering memo that keeps the first word it
-sees for each element; which word that is does not depend on the
-homomorphism, only on the order of resolution.  Exploration resolves
-candidates in a fixed order, so the keys of resolved elements are
-reproducible, but they depend on what the instance resolved before.  The
-memo also maps each registered word to its fingerprint: no two registered
-words are one element, so a registered word resolves to itself at once,
-and its key decodes without folding the word.  A key decodes to its own
-word, unresolved; a reader resolves it (see ``Ball.from_bytes``).
+Surface groups are shortlex automatic (Epstein et al., *Word Processing in
+Groups*, 1992), but their shortlex systems are infinite: completion from the
+relator adds one rule for about every 3 letters of left-hand side, without
+end.  The system here is completed from the free cancellations and the
+relator and truncated at a bound M that follows from the longest word it
+must rewrite, and it grows on demand.
 """
 
 from __future__ import annotations
 
-import random
+import heapq
+import itertools
+from typing import Optional
 
-from .dehn import close_dehn, d_reduce, is_d_reduced, surface_alphabet, surface_relator
+from .dehn import _rotations, close_dehn, d_reduce, surface_alphabet, surface_relator
 from .groups import GroupInterface, encode_word, decode_word
-from .words import Word, word_inverse
-
-_P = 1_073_741_789  # the largest prime below 2**30: entries are one-digit ints
-_ID2 = (1, 0, 0, 1)
-_DIGIT = 32  # bits per packed abelianization coordinate
+from .words import Alphabet, Word, word_inverse
 
 
-def _mat_mul(a, b):
-    return (
-        (a[0] * b[0] + a[1] * b[2]) % _P,
-        (a[0] * b[1] + a[1] * b[3]) % _P,
-        (a[2] * b[0] + a[3] * b[2]) % _P,
-        (a[2] * b[1] + a[3] * b[3]) % _P,
-    )
+class ShortlexRewriting:
+    """Shortlex rewriting system for one relator, by Knuth-Bendix completion
+    truncated at a bound M: overlaps longer than M are not resolved.
+
+    Why the truncation is exact for the words rewritten.  Completion that
+    resolves every overlap of length <= M joins any two words that a chain
+    of seed equations links through words of length <= M: each peak of such
+    a chain lies in a word of length <= M, so its overlap was resolved.  The
+    seeds are x x^-1 = e and, for each rotation s t of the relator or its
+    inverse, s = t^-1, which holds the relator = e, of length 4g <= M.  A
+    word w of length <= L equals its shortlex-least word z, |z| <= |w|:
+    insert z^-1 z after w (length <= 3L), then Dehn-reduce w z^-1 to the
+    empty word, each step an insertion of t t^-1 with |t| < 2g and the
+    deletion of a relator, so every word of the chain has length
+    < 3L + 4g.  z is irreducible, as no rule maps it to a smaller word for
+    the same element, so with M = 3L + 4g every word of length <= L
+    rewrites to z (``capacity`` is L).
+
+    Rules are kept interreduced, so no left-hand side contains another, and
+    they sit in a trie read from the end of the left-hand side, each rule a
+    leaf.  Rewriting keeps a stack that is irreducible, so a match ends at
+    the letter just pushed, and at most one does."""
+
+    def __init__(self, alphabet: Alphabet, relator: Word):
+        self.alphabet = alphabet
+        self.relator_len = len(relator)
+        self._rank = {name: i for i, name in enumerate(alphabet.names)}
+        self._seeds = [((x, alphabet.inverse(x)), ()) for x in alphabet.names]
+        for rel in (relator, word_inverse(relator, alphabet)):
+            for rot in _rotations(rel):
+                for cut in range(len(rot) // 2, len(rot) + 1):
+                    self._seeds.append((rot[:cut], word_inverse(rot[cut:], alphabet)))
+        self.rules: dict[Word, Word] = {}
+        self.bound = 0  # M
+        self.capacity = -1  # L: every word this long or shorter rewrites exactly
+        self._trie: dict = {}
+
+    def _order(self, word: Word):
+        return len(word), [self._rank[x] for x in word]
+
+    def rewrite(self, word: Word, start: int = 0, applied: Optional[list] = None) -> Word:
+        """The normal form of word, whose prefix word[:start] is already a
+        normal form.  The left-hand side of every rule applied is appended to
+        ``applied`` when one is given.  Completes the system further first
+        when word is longer than its capacity."""
+        if len(word) > self.capacity:
+            self._grow(len(word))
+        return self._rewrite(word, start, applied)
+
+    def is_normal(self, word: Word) -> bool:
+        """Whether word is its own normal form: no left-hand side ends at
+        any of its letters."""
+        if len(word) > self.capacity:
+            self._grow(len(word))
+        trie = self._trie
+        for end in range(len(word)):
+            node = trie
+            for i in range(end, -1, -1):
+                node = node.get(word[i])
+                if node.__class__ is not dict:
+                    break
+            if node.__class__ is tuple:
+                return False
+        return True
+
+    def _rewrite(self, word, start, applied) -> Word:
+        trie = self._trie
+        stack = list(word[:start])
+        pending = list(reversed(word[start:]))
+        while pending:
+            stack.append(pending.pop())
+            node = trie
+            for letter in reversed(stack):
+                node = node.get(letter)
+                if node.__class__ is not dict:
+                    break
+            if node.__class__ is tuple:
+                lhs, rhs = node
+                del stack[len(stack) - len(lhs):]
+                pending.extend(reversed(rhs))
+                if applied is not None:
+                    applied.append(lhs)
+        return tuple(stack)
+
+    def _add(self, lhs: Word, rhs: Word) -> None:
+        self.rules[lhs] = rhs
+        node = self._trie
+        for letter in reversed(lhs[1:]):
+            node = node.setdefault(letter, {})
+        node[lhs[0]] = (lhs, rhs)
+
+    def _remove(self, lhs: Word) -> Word:
+        path = [self._trie]
+        for letter in reversed(lhs[1:]):
+            path.append(path[-1][letter])
+        # drop the leaf, then every node that it leaves empty
+        for letter, node in zip(lhs, reversed(path)):
+            del node[letter]
+            if node:
+                break
+        return self.rules.pop(lhs)
+
+    def _overlaps(self, a: Word, b: Word, shortest: int):
+        """Critical pairs of the rules a -> ra and b -> rb from a proper
+        overlap of a suffix of a with a prefix of b, over words of length
+        from ``shortest`` to the bound."""
+        top = len(a) + len(b)
+        for k in range(max(1, top - self.bound), min(len(a), len(b), top - shortest + 1)):
+            if a[-k:] == b[:k]:
+                yield top - k, self.rules[a] + b[k:], a[:-k] + self.rules[b]
+
+    def _grow(self, length: int) -> None:
+        """Complete with M = 3 * length + 4g.  Overlaps up to the old bound
+        were resolved before, so only longer ones are queued again."""
+        old = self.bound
+        self.capacity = length
+        self.bound = 3 * length + self.relator_len
+        count = itertools.count()
+        if self.rules:
+            heap = [(n, next(count), u, v)
+                    for a, b in itertools.product(self.rules, repeat=2)
+                    for n, u, v in self._overlaps(a, b, old + 1)]
+        else:
+            heap = [(len(u), next(count), u, v) for u, v in self._seeds]
+        heapq.heapify(heap)
+        while heap:
+            _, _, u, v = heapq.heappop(heap)
+            u, v = self._rewrite(u, 0, None), self._rewrite(v, 0, None)
+            if u == v:
+                continue
+            if self._order(u) < self._order(v):
+                u, v = v, u
+            # rules whose left-hand side contains u become equations again
+            for lhs in [lhs for lhs in self.rules if len(lhs) > len(u) and _contains(lhs, u)]:
+                heapq.heappush(heap, (len(lhs), next(count), lhs, self._remove(lhs)))
+            self._add(u, v)
+            for lhs in list(self.rules):
+                for n, p, q in itertools.chain(self._overlaps(u, lhs, 0),
+                                               self._overlaps(lhs, u, 0) if lhs != u else ()):
+                    heapq.heappush(heap, (n, next(count), p, q))
 
 
-def _mat_inv(a):
-    # determinant 1 throughout
-    return (a[3], -a[1] % _P, -a[2] % _P, a[0])
-
-
-def _conj(c, x):
-    return _mat_mul(_mat_mul(c, x), _mat_inv(c))
-
-
-def _commutator(a, b):
-    return _mat_mul(_mat_mul(a, b), _mat_mul(_mat_inv(a), _mat_inv(b)))
-
-
-def _random_sl2(rng: random.Random):
-    a = rng.randrange(1, _P)
-    b = rng.randrange(_P)
-    c = rng.randrange(_P)
-    return (a, b, c, (1 + b * c) * pow(a, -1, _P) % _P)
-
-
-def _surface_images(genus: int, rng: random.Random) -> list:
-    """Images of a1, b1, ..., ag, bg in SL(2, p) whose product of
-    commutators is I (see the module docstring)."""
-    u, w = _random_sl2(rng), _random_sl2(rng)
-    images = [u, w]
-    for _ in range(genus - 2):
-        c = _commutator(u, w)
-        z = _random_sl2(rng)
-        images += [_conj(c, w), _conj(c, z)]
-        u, w = (_conj(c, _mat_mul(_mat_mul(u, w), _mat_inv(u))),
-                _conj(c, _mat_mul(z, _mat_inv(u))))
-    c = _commutator(u, w)
-    return images + [_conj(c, w), _conj(c, u)]
+def _contains(word: Word, part: Word) -> bool:
+    k = len(part)
+    return any(word[i:i + k] == part for i in range(len(word) - k + 1))
 
 
 class SurfaceElement:
-    """A word with its fingerprint.  Invariant: the word is D-reduced, which
-    every product and inverse keeps and ``decode_key`` checks; a product by
-    one letter is reduced in one step on the strength of it.
-    ``==`` and ``hash`` go by the word (the fingerprint is a function of the
-    group element), so two words for one group element are unequal until
-    resolved."""
+    """A normal-form word; ``==`` and ``hash`` go by the word, which is group
+    equality."""
 
-    __slots__ = ("word", "fp")
+    __slots__ = ("word",)
 
-    def __init__(self, word: Word, fp: tuple):
+    def __init__(self, word: Word):
         self.word = word
-        self.fp = fp
 
     def __eq__(self, other):
         return isinstance(other, SurfaceElement) and self.word == other.word
@@ -120,55 +200,19 @@ class SurfaceGroup(GroupInterface):
         self.alphabet = surface_alphabet(genus)
         self.relator = surface_relator(genus)
         self.dehn = close_dehn([self.relator], self.alphabet)
-        positive = [n for n in self.alphabet.names if not n.endswith("-")]
-        images = _surface_images(genus, random.Random(0x5EED))
-        self._identity = SurfaceElement((), (0,) + _ID2)
-        self._images = {}
-        for i, (name, mat) in enumerate(zip(positive, images)):
-            fp = (1 << (_DIGIT * i),) + mat
-            inv = self.alphabet.inverse(name)
-            self._images[name] = SurfaceElement((name,), fp)
-            self._images[inv] = SurfaceElement((inv,), self._fp_inv(fp))
-        # fingerprint -> registered words, and registered word -> fingerprint
-        self._registry: dict[tuple, list[Word]] = {}
-        self._registered: dict[Word, tuple] = {}
-
-    # -- fingerprints: (packed abelianization, SL(2, p) image entries) ----------
-
-    def _fp_of_word(self, word: Word) -> tuple:
-        fp = self._identity.fp
-        for letter in word:
-            fp = self._fp_mul(fp, self._images[letter].fp)
-        return fp
-
-    @staticmethod
-    def _fp_mul(fu: tuple, fv: tuple) -> tuple:
-        v, a, b, c, d = fu
-        v1, e, f, g, h = fv
-        return (v + v1, (a * e + b * g) % _P, (a * f + b * h) % _P,
-                (c * e + d * g) % _P, (c * f + d * h) % _P)
-
-    @staticmethod
-    def _fp_inv(fu: tuple) -> tuple:
-        return (-fu[0],) + _mat_inv(fu[1:])
-
-    # -- group interface --------------------------------------------------------
+        self.rewriting = ShortlexRewriting(self.alphabet, self.relator)
+        self._identity = SurfaceElement(())
+        self._images = {name: SurfaceElement((name,)) for name in self.alphabet.names}
 
     @property
     def identity(self) -> SurfaceElement:
         return self._identity
 
     def multiply(self, u: SurfaceElement, v: SurfaceElement) -> SurfaceElement:
-        return SurfaceElement(d_reduce(u.word + v.word, self.dehn, split=len(u.word)),
-                              self._fp_mul(u.fp, v.fp))
-
-    def compose_element(self, word: Word, u: SurfaceElement, v: SurfaceElement) -> SurfaceElement:
-        """Element with an externally reduced word for the product u*v (the
-        fingerprint only depends on the factors)."""
-        return SurfaceElement(word, self._fp_mul(u.fp, v.fp))
+        return SurfaceElement(self.rewriting.rewrite(u.word + v.word, len(u.word)))
 
     def invert(self, u: SurfaceElement) -> SurfaceElement:
-        return SurfaceElement(word_inverse(u.word, self.alphabet), self._fp_inv(u.fp))
+        return SurfaceElement(self.rewriting.rewrite(word_inverse(u.word, self.alphabet)))
 
     @property
     def generator_images(self):
@@ -177,41 +221,16 @@ class SurfaceGroup(GroupInterface):
     def is_identity_word(self, word) -> bool:
         return d_reduce(word, self.dehn) == ()
 
-    def element_equal(self, u: SurfaceElement, v: SurfaceElement) -> bool:
-        if u.fp != v.fp:
-            return False
-        return self.is_identity_word(u.word + word_inverse(v.word, self.alphabet))
-
-    def resolve(self, elem: SurfaceElement) -> SurfaceElement:
-        """Canonical representative through the clustering memo.  A
-        registered word is its own representative: no two registered words
-        are one element."""
-        word = elem.word
-        if word in self._registered:
-            return elem
-        bucket = self._registry.setdefault(elem.fp, [])
-        for rep in bucket:
-            if not d_reduce(word + word_inverse(rep, self.alphabet), self.dehn):
-                return SurfaceElement(rep, elem.fp)
-        bucket.append(word)
-        self._registered[word] = elem.fp
-        return elem
-
     def key(self, elem: SurfaceElement) -> bytes:
         return encode_word(elem.word, self.alphabet)
 
     def decode_key(self, key: bytes) -> SurfaceElement:
-        """The key's word with its fingerprint, as given: not resolved, so
-        decoding registers nothing.  A registered word keeps its stored
-        fingerprint.  Raises ValueError for a word that is not D-reduced,
-        which no key of an element is."""
+        """The key's word; ValueError for a word that is not its own normal
+        form, which no key of an element is."""
         word = decode_word(key, self.alphabet)
-        fp = self._registered.get(word)
-        if fp is None:
-            if not is_d_reduced(word, self.dehn):
-                raise ValueError(f"key word {' '.join(word)} is not D-reduced")
-            fp = self._fp_of_word(word)
-        return SurfaceElement(word, fp)
+        if not self.rewriting.is_normal(word):
+            raise ValueError(f"key word {' '.join(word)} is not in normal form")
+        return SurfaceElement(word)
 
     def fingerprint(self) -> str:
         return self.word_fingerprint(f"surface genus={self.genus}")

@@ -343,16 +343,17 @@ class TriangleGroup(GroupInterface):
 
     @cached_property
     def dehn(self):
-        """Relator system seeded with every identity word of length up to
-        2r + 1 and closed under inversion and rotation, built on first use.
+        """Relator system of every identity word of length up to 2r + 1,
+        built on first use.  The cyclically reduced identity words of a
+        bounded length are closed under inversion and rotation already.
         Short power relators of self-inverse generators live in free
         reduction instead."""
-        from .dehn import close_dehn
+        from .dehn import DehnSystem
 
         seeds = self.identity_words(2 * self.orders[2] + 1)
         if not seeds:
             raise ValueError("no identity words of length up to 2r + 1")
-        return close_dehn(seeds, self.alphabet)
+        return DehnSystem(self.alphabet, seeds)
 
     def dehn_system(self):
         """The relator system ``dehn``."""

@@ -331,7 +331,7 @@ def test_measurement_multiplies_each_product_once():
 
 
 def _full_scan_reduce(word, system, charges=None, rank=0):
-    """The reduction loop before split reductions, kept as the reference:
+    """The reduction loop before junction-local reductions, kept as the reference:
     free reduction and a scan from every start after each replacement, and
     the relator of a charged replacement rebuilt from the word."""
     total = [0] * rank
@@ -355,7 +355,7 @@ def _full_scan_reduce(word, system, charges=None, rank=0):
 
 def _reduction_systems(name, request):
     """The relator system, and charge maps of rank 1 and 2, of each family
-    whose products reduce with a split."""
+    whose words reduce by Dehn's algorithm."""
     if name.startswith("surface"):
         genus = int(name[-1])
         rel, alphabet = surface_relator(genus), surface_alphabet(genus)
@@ -375,10 +375,10 @@ def _reduction_systems(name, request):
 @pytest.mark.parametrize("name", ["surface2", "surface3", "rotation237", "triangle237"])
 def test_split_reduction_equals_full_reduction(name, request):
     """d_reduce and d_reduce_with_charges give the full-scan loop's word and
-    charge: on random words without a split, on products of two D-reduced
-    words of length <= 13 with the split at the junction (half of them
-    ending and starting inside one relator, where replacements cross it),
-    and on one-letter appends and prepends."""
+    charge: on random words, on words split into two D-reduced factors of
+    length <= 13 (half of them ending and starting inside one relator, where
+    replacements cross the junction), and on one-letter appends and
+    prepends."""
     system, charge_maps = _reduction_systems(name, request)
     names = system.alphabet.names
     rng = random.Random(name)
@@ -396,62 +396,19 @@ def test_split_reduction_equals_full_reduction(name, request):
             word = (word + rel[:cut])[-13:] if left else (rel[cut:] + word)[:13]
         return _full_scan_reduce(word, system)[0]
 
-    def check(word, split):
+    def check(word):
         want, _ = _full_scan_reduce(word, system)
-        assert d_reduce(word, system, split=split) == want, (word, split)
+        assert d_reduce(word, system) == want, word
         charges, rank = rng.choice(charge_maps)
-        assert (d_reduce_with_charges(word, system, charges, rank, split=split)
-                == _full_scan_reduce(word, system, charges, rank)), (word, split)
+        assert (d_reduce_with_charges(word, system, charges, rank)
+                == _full_scan_reduce(word, system, charges, rank)), word
 
     for _ in range(7000):
-        check(letters(rng.randrange(25)), None)
+        check(letters(rng.randrange(25)))
         u, v = factor(True), factor(False)
-        check(u + v, len(u))
+        check(u + v)
         letter = letters(1)
-        if rng.random() < 0.5:
-            check(u + letter, len(u))
-        else:
-            check(letter + u, 1)
-
-
-def test_split_reduction_after_a_cut_into_the_prefix():
-    """A replacement whose free reduction cuts into the D-reduced prefix,
-    followed by letters of the replacement: the prefix is D-reduced only up
-    to the cut, so the next scan reaches back from there.  The relator is
-    not cyclically reduced, so the replacement b- b a b- of a- a- a- b- a
-    cancels into the prefix and leaves a b- after it."""
-    system = close_dehn([("b", "a-", "a-", "a-", "b-", "a", "b", "a-", "b-")],
-                        Alphabet(["a", "b"]))
-    u, v = ("b",) + ("a-",) * 7 + ("b-",), ("a",)
-    assert is_d_reduced(u, system) and is_d_reduced(v, system)
-    want = _full_scan_reduce(u + v, system)[0]
-    assert want == ("b", "a", "b-", "a-")
-    assert d_reduce(u + v, system, split=len(u)) == want
-
-
-@pytest.mark.parametrize("central, products, scans", [
-    (False, 3200, [16]), (True, 5464, [16, 16]),
-])
-def test_ball_products_take_the_one_letter_step(central, products, scans):
-    """Building B(4) of the genus-2 surface group, or of its central
-    extension, scans whole words only where ``resolve`` compares a word
-    with a representative of its fingerprint and, in the extension, moves
-    the charge onto it.  Every product has a one-letter right factor, and
-    none in B(4) ends a match, so a product routed around the one-letter
-    step would show as thousands more scans.  Scans are counted on the
-    surface's relator system and, for the extension, on its charged one."""
-    base = SurfaceGroup(2)
-    group = CentralExtension(base, {base.relator: (1,)}) if central else base
-    systems = [base.dehn, group.dehn] if central else [base.dehn]
-    counts = [[] for _ in systems]
-    for system, count in zip(systems, counts):
-        system.scan = lambda word, scan=system.scan, count=count: count.append(1) or scan(word)
-    made = []
-    multiply = group.multiply
-    group.multiply = lambda u, v: made.append(1) or multiply(u, v)
-    build_ball(group, 4)
-    assert len(made) == products
-    assert [len(count) for count in counts] == scans
+        check(u + letter if rng.random() < 0.5 else letter + u)
 
 
 def test_dehn_groups_freed_by_reference_counting(monkeypatch):

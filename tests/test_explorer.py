@@ -105,7 +105,7 @@ def _reference_sphere_pairs(ball, n, m):
                     child = group.multiply(elem, img)
                     cword = word + (names[gi],)
                     nxt.append((child, cword))
-                    j = ball.index.get(group.resolve(child))
+                    j = ball.index.get(child)
                     if j is None or j == i or ball.lengths[j] != n:
                         continue
                     a, b = (i, j) if i < j else (j, i)
@@ -468,9 +468,9 @@ def test_cache_rejects_damaged_files(nil_xy, surface2):
 
 
 def test_damaged_cache_registers_no_word():
-    """The framing of every record is checked before any key decodes, so a
-    truncated, over-long or trailing-byte surface cache read into a fresh
-    group registers no word, and keys resolved later do not change."""
+    """A truncated, over-long or trailing-byte surface cache read into a
+    fresh group is refused, and a ball built on that group afterwards is
+    the fresh one, byte for byte."""
     data = build_ball(SurfaceGroup(2), 3).to_bytes()
     count = int.from_bytes(data[10:14], "big")
     fewer = data[:10] + (count - 1).to_bytes(4, "big") + data[14:]
@@ -478,7 +478,7 @@ def test_damaged_cache_registers_no_word():
         group = SurfaceGroup(2)
         with pytest.raises(ValueError):
             Ball.from_bytes(bad, group)
-        assert not group._registered
+        assert build_ball(group, 3).to_bytes() == data
 
 
 def _rekey(data, index, rekey):
@@ -494,16 +494,36 @@ def _rekey(data, index, rekey):
 
 
 def test_cache_with_a_bad_last_key_registers_no_word():
-    """Every key decodes before any element resolves, so a surface cache
-    whose last key is not D-reduced is refused before a word is
-    registered."""
+    """A surface cache whose last key is not a normal form (not even
+    D-reduced) is refused, and a ball built on that group afterwards is the
+    fresh one, byte for byte."""
     data = build_ball(SurfaceGroup(2), 2).to_bytes()
     count = int.from_bytes(data[10:14], "big")
     group = SurfaceGroup(2)
     bad = _rekey(data, count - 1, lambda key: encode_word(("a1", "a1-"), group.alphabet))
     with pytest.raises(ValueError):
         Ball.from_bytes(bad, group)
-    assert not group._registered
+    assert build_ball(group, 2).to_bytes() == data
+
+
+def test_build_after_resolving_a_word_is_the_fresh_build():
+    """Keys depend only on the element: resolving b2 a2 b2- a2- (the
+    element a1 b1 a1- b1-) first leaves B(4) the fresh build, byte for
+    byte."""
+    group = SurfaceGroup(2)
+    group.resolve(group.evaluate(("b2", "a2", "b2-", "a2-")))
+    assert hashlib.sha256(build_ball(group, 4).to_bytes()).hexdigest() == (
+        "0963cb236a5054797c25f2562564f7adfe2d5d72a6b100601b5385fd82f1d658")
+
+
+def test_central_cache_read_keeps_the_key_contract():
+    """A fresh central B(4) read into a group whose base first resolved
+    b2 a2 b2- a2- holds, for every record, the key of its element."""
+    written = build_ball(_central_extension(), 4)
+    group = _central_extension()
+    group.base.resolve(group.base.evaluate(("b2", "a2", "b2-", "a2-")))
+    read = Ball.from_bytes(written.to_bytes(), group)
+    assert all(read.keys[i] == group.key(elem) for i, elem in enumerate(read.elements))
 
 
 def test_central_cache_read_into_a_group_with_history():

@@ -5,7 +5,7 @@ import pytest
 
 from cayleyac.dehn import d_reduce_with_charges, is_d_reduced
 from cayleyac.explorer import ElementAbsent, build_ball, sphere_pairs
-from cayleyac.extensions import (CentralExtension, MissingCentralGenerator,
+from cayleyac.extensions import (CentralExtension, ExtElement, MissingCentralGenerator,
                                  PreconditionViolated, central_witness_path)
 from cayleyac.words import word_inverse
 
@@ -226,19 +226,22 @@ def test_fingerprint_hashes_every_charge(surface2):
     assert first.fingerprint() != second.fingerprint()
 
 
-def test_central_ball_invariants(genus2_ext, monkeypatch):
-    """The facts the junction-local product relies on, over the genus-2
-    central B(4): base words are D-reduced and keys round-trip; a central
-    letter multiplies without a reduction into the element the general
-    reduction gives; resolving a registered word reduces nothing."""
-    from cayleyac import extensions, surface
-
+def test_central_ball_invariants(genus2_ext):
+    """Over the genus-2 central B(4): base words are D-reduced normal forms
+    and keys round-trip to equal, equally hashed elements, which the ball
+    locates at their own index; distinct elements have distinct keys; a
+    central letter multiplies, without rewriting, into the element the
+    charged reduction gives; and two base words for one base element
+    evaluate to elements that differ by the relator's charge."""
     ball = build_ball(genus2_ext, 4)
     base = genus2_ext.base
-    for elem in ball.elements:
+    for i, elem in enumerate(ball.elements):
         assert is_d_reduced(elem.base.word, genus2_ext.dehn)
+        assert base.rewriting.rewrite(elem.base.word) == elem.base.word
         back = genus2_ext.decode_key(genus2_ext.key(elem))
-        assert back == elem and back.base.fp == elem.base.fp
+        assert back == elem and hash(back) == hash(elem)
+        assert ball.locate(back) == i
+    assert len(set(ball.keys)) == len(ball)
     for name in ("c1", "c1-"):
         img = genus2_ext.generator_images[name]
         for elem in ball.elements:
@@ -248,25 +251,29 @@ def test_central_ball_invariants(genus2_ext, monkeypatch):
             got = genus2_ext.multiply(elem, img)
             assert got.avec == tuple(map(sum, zip(elem.avec, img.avec, consumed)))
             assert got.base.word == word
-            assert got.base.fp == base.compose_element(word, elem.base, img.base).fp
-
-    calls = []
-
-    def counted(fn):
-        return lambda *args, **kwargs: calls.append(fn.__name__) or fn(*args, **kwargs)
-
-    monkeypatch.setattr(surface, "d_reduce", counted(surface.d_reduce))
-    monkeypatch.setattr(extensions, "d_reduce_with_charges",
-                        counted(extensions.d_reduce_with_charges))
-    for i, elem in enumerate(ball.elements):
-        assert genus2_ext.resolve(elem) is elem
-        assert base.resolve(elem.base) is elem.base
-        assert ball.locate(elem) == i
-    assert calls == []
-    # the counters do count: of two base words of length 4 for one base
-    # element, one is not registered, and resolving it reduces
     rel = base.relator
-    pair = [genus2_ext.evaluate(rel[:4]), genus2_ext.evaluate(word_inverse(rel[4:], base.alphabet))]
-    calls.clear()
-    assert genus2_ext.resolve(pair[0]).base == genus2_ext.resolve(pair[1]).base
-    assert calls
+    first = genus2_ext.evaluate(rel[:4])
+    second = genus2_ext.evaluate(word_inverse(rel[4:], base.alphabet))
+    assert first.base == second.base and first != second
+    assert genus2_ext.multiply(first, genus2_ext.invert(second)) == ExtElement(
+        genus2_ext.charges[rel], base.identity)
+
+
+def test_evaluate_agrees_with_dreduced_shape(genus2_ext):
+    """evaluate and dreduced_shape give one element for random words of
+    length <= 20 over the base and central letters: their central parts
+    differ by the charge of the closed base word (normal form) (D-reduced
+    word)^-1, which Dehn's algorithm reduces to the empty word."""
+    base = genus2_ext.base
+    names = genus2_ext.alphabet.names
+    rng = random.Random(20)
+    for _ in range(400):
+        word = tuple(rng.choice(names) for _ in range(rng.randrange(21)))
+        elem = genus2_ext.evaluate(word)
+        vec, reduced = genus2_ext.dreduced_shape(word)
+        assert len(elem.base.word) <= len(reduced)
+        rest, charge = d_reduce_with_charges(
+            elem.base.word + word_inverse(reduced, base.alphabet),
+            genus2_ext.dehn, genus2_ext.charges, genus2_ext.rank)
+        assert rest == ()
+        assert vec == tuple(a + c for a, c in zip(elem.avec, charge))

@@ -49,6 +49,24 @@ def test_ball_central_micro_calls(monkeypatch, tmp_path):
     assert all(value > 0 for value in metrics.values())
 
 
+def test_ball_central_traced_setup_equals_build_group(monkeypatch, tmp_path):
+    """A traced ball-central run rebuilds the extension step by step and
+    checks that it equals build_group's: fingerprint, truncation flag and
+    quasi-constants.  Only traced runs make that check, so it runs here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+        tracing = importlib.import_module("tracing")
+        workload = workloads.BallCentral(0, str(tmp_path), {})
+        checks = workloads.Checks()
+        state = workload.setup(workloads.NoTrace())
+        workload.trace_setup(state, tracing.Tracer(workload.name, "setup"), checks)
+    finally:
+        for name in ("workloads", "tracing"):
+            sys.modules.pop(name, None)
+    assert checks.attempted == 1 and checks.failures == []
+
+
 def test_constants_triangle_outputs_match_reference(monkeypatch, tmp_path):
     """The constants-triangle workload's set-up and its units 0-2 at seed 0,
     checked by the workload itself against reference.json."""

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cayleyac.dehn import is_d_reduced
+from cayleyac.dehn import d_reduce, is_d_reduced
 from cayleyac.explorer import build_ball
 from cayleyac.groups import FreeGroup, IntegerLattice, encode_word
 from cayleyac.sol import SolLattice
@@ -14,16 +14,13 @@ from cayleyac.words import free_reduce, word_inverse
 
 @pytest.mark.parametrize("genus", [2, 3, 4, 5])
 def test_relator_maps_to_identity_in_quotients(genus):
+    """Every rotation of the relator and of its inverse evaluates to the
+    identity of the quotient of the free group, its normal form the empty
+    word."""
     group = SurfaceGroup(genus)
-    assert group._fp_of_word(group.relator) == group.identity.fp
-
-
-@pytest.mark.parametrize("genus, radius", [(2, 5), (3, 3)])
-def test_fingerprints_separate_ball(genus, radius):
-    # the SL(2, p) image alone collides on genus-2 B(5) (a2 and
-    # [a1,b1] b1 [a1,b1]^-1 share it); the abelianization vector separates
-    ball = build_ball(SurfaceGroup(genus), radius)
-    assert len({elem.fp for elem in ball.elements}) == len(ball)
+    for rel in group.dehn.relators:
+        assert group.evaluate(rel) == group.identity
+        assert group.multiply(group.evaluate(rel[:5]), group.evaluate(rel[5:])) == group.identity
 
 
 @pytest.mark.parametrize("family", [
@@ -47,8 +44,8 @@ def test_equal_elements_same_key(surface2):
     rel = surface2.relator
     u = surface2.evaluate(rel[:4])
     v = surface2.evaluate(word_inverse(rel[4:], surface2.alphabet))
-    assert surface2.element_equal(u, v)
-    assert surface2.key(surface2.resolve(u)) == surface2.key(surface2.resolve(v))
+    assert u == v
+    assert surface2.key(u) == surface2.key(v)
 
 
 def test_distinct_elements_distinct_keys(surface_ball5):
@@ -82,9 +79,8 @@ def test_word_problem_random_insertions(surface2):
         rel = rng.choice(surface2.dehn.relators)
         with_rel = surface2.evaluate(u + rel + v)
         without = surface2.evaluate(u + v)
-        assert surface2.element_equal(with_rel, without)
-        assert (surface2.key(surface2.resolve(with_rel))
-                == surface2.key(surface2.resolve(without)))
+        assert with_rel == without
+        assert surface2.key(with_rel) == surface2.key(without)
 
 
 def test_inverse_and_associativity(surface2):
@@ -101,29 +97,79 @@ def test_inverse_and_associativity(surface2):
                                       surface2.identity)
 
 
-def test_ball_words_d_reduced_and_keys_round_trip(surface2, surface_ball5, monkeypatch):
-    """Every word of B(5) is D-reduced, which products rely on to reduce
-    only at the junction.  Keys decode to the element with its fingerprint,
-    on the instance that registered them (no fold, no reduction) and on a
-    fresh one (folded, not resolved)."""
-    from cayleyac import surface
-
+def test_ball_words_d_reduced_and_keys_round_trip(surface2, surface_ball5):
+    """Every word of B(5) is D-reduced and its own normal form, of the
+    length of its sphere.  Keys decode to the element, hashed alike, on the
+    instance that built the ball and on a fresh one."""
     fresh = SurfaceGroup(2)
-    for elem, key in zip(surface_ball5.elements, surface_ball5.keys):
+    for elem, key, length in zip(surface_ball5.elements, surface_ball5.keys,
+                                 surface_ball5.lengths):
         assert is_d_reduced(elem.word, surface2.dehn)
+        assert surface2.rewriting.rewrite(elem.word) == elem.word
+        assert len(elem.word) == length
         for group in (fresh, surface2):
             back = group.decode_key(key)
-            assert back == elem and back.fp == elem.fp
-    calls = []
-    monkeypatch.setattr(surface, "d_reduce", lambda *args, **kw: calls.append(1))
-    monkeypatch.setattr(SurfaceGroup, "_fp_of_word", lambda self, word: calls.append(1))
-    for i, elem in enumerate(surface_ball5.elements):
-        assert surface2.resolve(elem) is elem
-        assert surface2.decode_key(surface_ball5.keys[i]) == elem
-    assert calls == []
+            assert back == elem and hash(back) == hash(elem)
 
 
 def test_decode_key_rejects_words_that_are_not_d_reduced():
     group = SurfaceGroup(2)
     with pytest.raises(ValueError):
         group.decode_key(encode_word(group.relator[:5], group.alphabet))
+
+
+def _growth_series(genus, terms):
+    """The first terms of Cannon's growth series of the genus-g surface
+    group, (1 + 2z + ... + 2z^(2g-1) + z^(2g)) / (1 - (4g-2)(z + ... +
+    z^(2g-1)) + z^(2g)); see also Floyd and Plotnick, Invent. Math. 88
+    (1987)."""
+    top = 2 * genus
+    numerator = [1] + [2] * (top - 1) + [1]
+    denominator = [1] + [-(4 * genus - 2)] * (top - 1) + [1]
+    series = []
+    for n in range(terms):
+        series.append((numerator[n] if n <= top else 0)
+                      - sum(denominator[k] * series[n - k] for k in range(1, min(n, top) + 1)))
+    return series
+
+
+@pytest.mark.parametrize("genus, spheres", [
+    (2, [1, 8, 56, 392, 2736, 19096, 133288]),
+    (3, [1, 12, 132, 1452, 15972]),
+])
+def test_sphere_sizes_follow_the_growth_series(genus, spheres):
+    """One normal form per element: the spheres of the ball count the
+    elements of each length exactly, as the growth series does."""
+    assert _growth_series(genus, len(spheres)) == spheres
+    assert build_ball(SurfaceGroup(genus), len(spheres) - 1).sphere_sizes() == spheres
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_normal_forms_of_random_words(genus):
+    """A seeded random word of length <= 20, half of them with a relator
+    inserted, evaluates to a normal form that Dehn's algorithm equates with
+    the word, that is never longer than the word's D-reduced form, and that
+    rewriting the word directly gives too."""
+    group = SurfaceGroup(genus)
+    names = group.alphabet.names
+    rng = random.Random(genus)
+    for _ in range(400):
+        word = tuple(rng.choice(names) for _ in range(rng.randrange(21)))
+        if rng.random() < 0.5:
+            cut = rng.randrange(len(word) + 1)
+            word = (word[:cut] + rng.choice(group.dehn.relators) + word[cut:])[:20]
+        normal = group.evaluate(word).word
+        assert d_reduce(normal + word_inverse(word, group.alphabet), group.dehn) == ()
+        assert len(normal) <= len(d_reduce(word, group.dehn))
+        assert group.rewriting.rewrite(word) == normal
+
+
+def test_products_rewrite_without_dehn_scans():
+    """A ball build multiplies by rewriting: no product scans a word for
+    relator matches."""
+    group = SurfaceGroup(2)
+    scans = []
+    scan = group.dehn.scan
+    group.dehn.scan = lambda word: scans.append(1) or scan(word)
+    build_ball(group, 4)
+    assert scans == []

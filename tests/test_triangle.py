@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cayleyac.dehn import close_dehn
 from cayleyac.explorer import build_ball
 from cayleyac.triangle import (CosField, TriangleGroup, _mat_inverse, _mat_mul,
                                cyclotomic_polynomial, real_minimal_polynomial)
@@ -190,3 +191,13 @@ def test_relator_systems_pinned(orders, count, digest):
     relators = TriangleGroup(*orders).dehn.relators
     assert len(relators) == count
     assert hashlib.sha256(repr(relators).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("orders", [(2, 3, 7), (2, 3, 8), (3, 3, 4), (2, 4, 5)])
+def test_identity_words_are_closed_under_rotation_and_inversion(orders):
+    """The cyclically reduced identity words of length <= 2r + 1 are
+    closed under rotation and inversion already, so the relator system
+    built on them directly is the closed one."""
+    group = TriangleGroup(*orders)
+    seeds = group.identity_words(2 * orders[2] + 1)
+    assert group.dehn.relators == close_dehn(seeds, group.alphabet).relators
