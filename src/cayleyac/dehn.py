@@ -8,8 +8,8 @@ freely reduces.  Group products do not reduce here: surface groups and
 their central extensions multiply by shortlex rewriting (see ``surface``).
 The reduction serves the word problem, the relator charges and the measured
 constants.  The random and exhaustive word samplers grow D-reduced words a
-letter at a time, testing only the matches that end at the new letter
-(``DehnSystem.ends_in_match``)."""
+letter at a time and keep a letter when the whole grown word passes
+``is_d_reduced``."""
 
 from __future__ import annotations
 
@@ -42,9 +42,6 @@ class DehnSystem:
             if not r:
                 raise EmptyRelator("empty relator")
         self._trie = self._build_trie()
-        # the lengths len(r) // 2 + 1 of the shortest more-than-half prefixes
-        self._match_lengths = tuple(sorted({len(r) // 2 + 1 for r in self.relators}))
-        self._inverse = {name: alphabet.inverse(name) for name in alphabet.names}
 
     def _build_trie(self):
         # node: dict letter -> node, with "" slot holding the best
@@ -74,26 +71,6 @@ class DehnSystem:
             if hit is not None:
                 best = hit
         return best
-
-    def ends_in_match(self, word: Sequence[str]) -> bool:
-        """Whether a more-than-half relator prefix ends at the last letter of
-        word.  When word[:-1] is D-reduced, every match of word ends there:
-        its part in word[:-1] is no match, so it is a prefix of exactly
-        len(r) // 2 + 1 letters of some relator r, and only those suffixes
-        of word are walked down the trie."""
-        size = len(word)
-        for depth in self._match_lengths:
-            if depth > size:
-                break
-            node = self._trie
-            for letter in word[size - depth:]:
-                node = node.get(letter)
-                if node is None:
-                    break
-            else:
-                if "" in node:
-                    return True
-        return False
 
     def scan(self, word: Sequence[str]):
         """Leftmost-longest match in word: (position, replacement, consumed,
@@ -181,13 +158,6 @@ def is_d_reduced(word: Sequence[str], system: DehnSystem) -> bool:
     return system.scan(word) is None
 
 
-def _appends_d_reduced(prefix: Word, letter: str, system: DehnSystem) -> bool:
-    """Whether prefix + (letter,) is D-reduced, for a D-reduced prefix."""
-    if prefix and prefix[-1] == system._inverse[letter]:
-        return False
-    return not system.ends_in_match(prefix + (letter,))
-
-
 # ---------------------------------------------------------------------------
 # Built-in presentations.
 
@@ -246,7 +216,7 @@ def _random_d_reduced(system: DehnSystem, length: int, rng: random.Random) -> Wo
         options = list(names)
         rng.shuffle(options)
         for letter in options:
-            if _appends_d_reduced(word, letter, system):
+            if is_d_reduced(word + (letter,), system):
                 word += (letter,)
                 break
         else:
@@ -261,8 +231,9 @@ def _all_d_reduced(system: DehnSystem, prefix: Word, remaining: int):
     if remaining == 0:
         return
     for letter in system.alphabet.names:
-        if _appends_d_reduced(prefix, letter, system):
-            yield from _all_d_reduced(system, prefix + (letter,), remaining - 1)
+        grown = prefix + (letter,)
+        if is_d_reduced(grown, system):
+            yield from _all_d_reduced(system, grown, remaining - 1)
 
 
 class _BallWalk:

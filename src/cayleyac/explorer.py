@@ -8,8 +8,9 @@ least edge by (witness weight, parent index, generator index) and is keyed
 once; new elements are inserted in key order.  Balls and all their
 witnesses are therefore reproducible bit for bit across runs.  A ball
 indexes its elements by value.  Records are added in bulk, one level at a
-time.  A cache file is checked record by record for its framing before any
-key decodes, and a key that does not decode refuses the file.
+time.  A cache file is checked record by record for its framing and its
+length, parent and generator fields before any key decodes, and a key that
+does not decode refuses the file.
 
 Sphere pairs, inside paths and witness checks read one integer-indexed
 Cayley graph per ball (``Ball.graph``), grown a sphere at a time with each
@@ -246,9 +247,10 @@ class Ball:
     def from_bytes(cls, data: bytes, group: GroupInterface) -> "Ball":
         """Decode a ball written by ``to_bytes``.  Raises ValueError when the
         data is truncated or over-long, of another format version, with a
-        last header byte other than 1, or for a generating set of another
-        size, all checked before the first key decodes, or for a key that
-        does not decode."""
+        last header byte other than 1, for a generating set of another size,
+        or with a record whose length, parent or generator no ball has
+        (``_check_fields``), all checked before the first key decodes, or
+        for a key that does not decode."""
         if data[:4] != _MAGIC:
             raise ValueError("not a ball cache file")
         if len(data) < 17:
@@ -278,6 +280,7 @@ class Ball:
         if pos != size:
             raise ValueError(f"{size - pos} bytes after the last ball cache record")
         fields = list(map(_RECORD.unpack_from, itertools.repeat(data, count), key_ends))
+        _check_fields(fields, radius, genc)
         elements = list(map(group.decode_key, keys))
         ball = cls(group, radius)
         ball._extend(elements, keys,
@@ -291,6 +294,25 @@ class Ball:
     def read(cls, path: str, group: GroupInterface) -> "Ball":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read(), group)
+
+
+def _check_fields(fields: list, radius: int, genc: int) -> None:
+    """ValueError unless the records' (length, parent, generator, weight)
+    fields are those of a ball ``build_ball`` could write: record 0 is the
+    identity's, of length 0 with parent (-1, -1); lengths never decrease
+    nor exceed the radius; and every later record's parent is an earlier
+    record one sphere closer, reached by a generator index in [0, genc)."""
+    if not fields or fields[0][:3] != (0, -1, -1):
+        raise ValueError("ball cache record 0 is not the identity's")
+    lengths = [length for length, _, _, _ in fields]
+    if lengths[-1] > radius:
+        raise ValueError(f"ball cache record of length {lengths[-1]} past radius {radius}")
+    for i in range(1, len(fields)):
+        length, parent, gen, _ = fields[i]
+        if not (lengths[i - 1] <= length and 0 <= parent < i
+                and lengths[parent] == length - 1 and 0 <= gen < genc):
+            raise ValueError(f"ball cache record {i} has length {length}, "
+                             f"parent {parent} and generator {gen}")
 
 
 def build_ball(group: GroupInterface, radius: int) -> Ball:
@@ -339,7 +361,8 @@ def build_ball(group: GroupInterface, radius: int) -> Ball:
 
 def cached_ball(group: GroupInterface, radius: int, cache_dir: Optional[str] = None) -> Ball:
     """Build a ball, reusing and refreshing the disk cache when a directory
-    is configured.  A cache file that does not decode is rebuilt."""
+    is configured.  A cache file that does not decode, or whose header
+    holds another radius, is rebuilt."""
     if cache_dir is None:
         return build_ball(group, radius)
     os.makedirs(cache_dir, exist_ok=True)
@@ -347,7 +370,9 @@ def cached_ball(group: GroupInterface, radius: int, cache_dir: Optional[str] = N
     path = os.path.join(cache_dir, name)
     if os.path.exists(path):
         try:
-            return Ball.read(path, group)
+            ball = Ball.read(path, group)
+            if ball.radius == radius:
+                return ball
         except ValueError:
             pass  # truncated, over-long or stale: rebuild and rewrite it
     ball = build_ball(group, radius)

@@ -63,7 +63,7 @@ class CentralAlphabet:
 
     values: tuple[tuple[int, ...], ...]
     truncated: bool = False
-    names: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    names: dict[str, tuple[int, ...]] = field(init=False)
 
     def __post_init__(self):
         reps = sorted({max(v, tuple(-c for c in v)) for v in self.values if any(v)})

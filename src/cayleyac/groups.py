@@ -42,9 +42,10 @@ class GroupInterface(abc.ABC):
     that hash by value, and one injective byte key per element.
 
     Each group element has exactly one representation, so ``==`` on
-    elements is group equality; word groups keep normal forms.  ``key``
-    serializes an element, so it depends only on the element; balls are
-    ordered and stored by it, and ``decode_key`` inverts it."""
+    elements is group equality and the only element comparison; word groups
+    keep normal forms.  ``key`` serializes an element, so it depends only on
+    the element; balls are ordered and stored by it, and ``decode_key``
+    inverts it."""
 
     alphabet: Alphabet
 
@@ -95,9 +96,6 @@ class GroupInterface(abc.ABC):
 
     def gens_fingerprint(self) -> str:
         return hashlib.sha256(" ".join(self.alphabet.names).encode()).hexdigest()[:16]
-
-    def element_equal(self, u: Any, v: Any) -> bool:
-        return u == v
 
     def word_fingerprint(self, data: str) -> str:
         return hashlib.sha256(data.encode()).hexdigest()[:16]
@@ -207,11 +205,10 @@ def check_group_axioms(group: GroupInterface, elements, trials: int = 100, rng=N
         u = rng.choice(pool)
         v = rng.choice(pool)
         w = rng.choice(pool)
-        eq = group.element_equal
-        assert eq(group.multiply(u, e), u)
-        assert eq(group.multiply(e, u), u)
-        assert eq(group.multiply(u, group.invert(u)), e)
-        assert eq(group.multiply(group.invert(u), u), e)
+        assert group.multiply(u, e) == u
+        assert group.multiply(e, u) == u
+        assert group.multiply(u, group.invert(u)) == e
+        assert group.multiply(group.invert(u), u) == e
         left = group.multiply(group.multiply(u, v), w)
         right = group.multiply(u, group.multiply(v, w))
-        assert eq(left, right)
+        assert left == right

@@ -21,7 +21,7 @@ import heapq
 import itertools
 from typing import Optional
 
-from .dehn import _rotations, close_dehn, d_reduce, surface_alphabet, surface_relator
+from .dehn import _rotations, close_dehn, surface_alphabet, surface_relator
 from .groups import GroupInterface, encode_word, decode_word
 from .words import Alphabet, Word, word_inverse
 
@@ -217,9 +217,6 @@ class SurfaceGroup(GroupInterface):
     @property
     def generator_images(self):
         return self._images
-
-    def is_identity_word(self, word) -> bool:
-        return d_reduce(word, self.dehn) == ()
 
     def key(self, elem: SurfaceElement) -> bytes:
         return encode_word(elem.word, self.alphabet)

@@ -174,9 +174,21 @@ def _bad_letter(data):
     return bytes(out)
 
 
+def _length_past_radius(data):
+    # the last record's 16 field bytes end the file and begin with its
+    # length: 6, past the radius 5 of the ball the test caches
+    return data[:-16] + (6).to_bytes(4, "big") + data[-12:]
+
+
+def _header_radius_6(data):
+    # the header's radius follows the 4-byte magic and the 2-byte version
+    return data[:6] + (6).to_bytes(4, "big") + data[10:]
+
+
 def test_damaged_cache_is_rebuilt(tmp_path, capsys):
     cuts = [lambda data, cut=cut: data[:cut] for cut in (10, 17, 40)]
-    cuts += [lambda data: data[: len(data) // 2], lambda data: data[:-1]]
+    cuts += [lambda data: data[: len(data) // 2], lambda data: data[:-1],
+             _length_past_radius, _header_radius_6]
     _damage_and_rebuild(tmp_path / "nil", capsys, "kind=heisenberg e=1 gens=plain", 5, cuts)
     _damage_and_rebuild(tmp_path / "surface", capsys, "kind=surface genus=2", 2,
                         [_bad_letter])

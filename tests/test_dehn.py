@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -6,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from cayleyac import explorer
-from cayleyac.dehn import (_LAMBDA_GRID, DehnSystem, EmptyRelator, _fit_quasi,
+from cayleyac.dehn import (_LAMBDA_GRID, DehnSystem, EmptyRelator, _all_d_reduced,
+                           _fit_quasi, _random_d_reduced,
                            close_dehn, close_dehn_with_charges, d_reduce,
                            d_reduce_with_charges, is_d_reduced,
                            measure_quasi_constants, surface_alphabet,
@@ -38,7 +41,7 @@ def test_close_dehn_counts():
 
 def test_relators_evaluate_to_identity(surface2):
     for rel in surface2.dehn.relators:
-        assert surface2.is_identity_word(rel)
+        assert d_reduce(rel, surface2.dehn) == ()
 
 
 def test_d_reduce_definition_instance():
@@ -72,7 +75,7 @@ def test_d_reduce_never_lengthens(surface2):
         w = tuple(rng.choice(names) for _ in range(rng.randrange(0, 18)))
         red = d_reduce(w, surface2.dehn)
         assert len(red) <= len(w)
-        assert surface2.is_identity_word(red + word_inverse(w, surface2.alphabet))
+        assert d_reduce(red + word_inverse(w, surface2.alphabet), surface2.dehn) == ()
 
 
 def test_is_d_reduced():
@@ -82,6 +85,26 @@ def test_is_d_reduced():
     assert not is_d_reduced(surface_relator(2), system)
     red = d_reduce(surface_relator(2)[:6], system)
     assert is_d_reduced(red, system)
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: SurfaceGroup(2), "8d7234878e808d4197c93e35cec1b8109c495a56a945bda048e84d5c2ccff904"),
+    (lambda: TriangleGroup(2, 3, 7),
+     "529d94bf2478bf448c12bccc406d2bce997e7ff6a0ab10d9b95db12fcc0e6bc4"),
+], ids=["genus2", "triangle237"])
+def test_samplers_pinned(make, digest):
+    """The exhaustive sampler lists every D-reduced word of length <= 3,
+    depth first in alphabet order, as a brute-force filter of all words
+    does; the random sampler's length-5 words for seeds 0-4 are pinned."""
+    system = make().dehn
+    names = system.alphabet.names
+    brute = [w for n in range(4) for w in itertools.product(names, repeat=n)
+             if is_d_reduced(w, system)]
+    brute.sort(key=lambda w: [names.index(letter) for letter in w])
+    assert list(_all_d_reduced(system, (), 3)) == brute
+    words = [_random_d_reduced(system, 5, random.Random(seed)) for seed in range(5)]
+    text = "\n".join(" ".join(w) for w in words)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_triangle_relators_skip_self_inverse_powers():

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import os
+import struct
 
 import pytest
 
@@ -450,11 +451,35 @@ def test_cache_round_trip_surface(tmp_path, surface2):
     assert ball.to_bytes() == again.to_bytes()
 
 
+def _refield(data, index, **changes):
+    """Ball bytes with fields of record ``index`` changed: records follow
+    the 17-byte header, each a 2-byte key length, the key and the 16 bytes
+    of its length, parent, generator and weight."""
+    pos = 17
+    for _ in range(index + 1):
+        pos += 2 + int.from_bytes(data[pos : pos + 2], "big") + 16
+    record = struct.Struct(">IiiI")
+    fields = dict(zip(("length", "parent", "gen", "weight"),
+                      record.unpack(data[pos - 16 : pos])))
+    fields.update(changes)
+    return data[: pos - 16] + record.pack(*fields.values()) + data[pos:]
+
+
 def test_cache_rejects_damaged_files(nil_xy, surface2):
-    data = build_ball(nil_xy, 3).to_bytes()
-    # the last cases: format version 9, and a header flag byte of 0
+    ball = build_ball(nil_xy, 3)
+    data = ball.to_bytes()
+    last, sphere2 = len(ball) - 1, ball.sphere(2).start
+    # the next cases: format version 9, and a header flag byte of 0; then
+    # fields no ball has: an identity record of length 1 or with parent
+    # (0, 0), a last length past the radius, a parent or generator index out
+    # of range, parent -1 past record 0, a sphere-2 parent in sphere 0, and
+    # a length that decreases, with a parent one sphere closer
     for bad in (data[:10], data[:17], data[: len(data) // 2], data[:-1], data + b"\0",
-                data[:4] + b"\0\x09" + data[6:], data[:16] + b"\0" + data[17:]):
+                data[:4] + b"\0\x09" + data[6:], data[:16] + b"\0" + data[17:],
+                _refield(data, 0, length=1), _refield(data, 0, parent=0, gen=0),
+                _refield(data, last, length=4), _refield(data, 1, parent=len(ball)),
+                _refield(data, 1, gen=4), _refield(data, sphere2, parent=-1),
+                _refield(data, sphere2, parent=0), _refield(data, sphere2 + 1, length=1, parent=0)):
         with pytest.raises(ValueError):
             Ball.from_bytes(bad, nil_xy)
     with pytest.raises(ValueError):
@@ -537,7 +562,7 @@ def test_central_cache_read_into_a_group_with_history():
     group.base.resolve(group.base.evaluate(("b2", "a2", "b2-", "a2-")))
     read = Ball.from_bytes(written.to_bytes(), group)
     for i, elem in enumerate(read.elements):
-        assert group.element_equal(elem, group.evaluate(read.geodesic_witness(i))), i
+        assert elem == group.evaluate(read.geodesic_witness(i)), i
     for i in range(len(written)):
         assert read.locate(group.evaluate(written.geodesic_witness(i))) == i
 

@@ -7,6 +7,8 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 from cayleyac.cli import build_group, parse_group_spec
 from cayleyac.convexity import ac_profile
 from cayleyac.explorer import build_ball
@@ -86,6 +88,27 @@ def test_constants_triangle_outputs_match_reference(monkeypatch, tmp_path):
         for name in ("workloads", "tracing"):
             sys.modules.pop(name, None)
     assert checks.attempted > 3 * 6 and checks.failures == []
+
+
+@pytest.mark.parametrize("name, leaves", [("ac-table", 3 * 5), ("ball-central", 3 + 3)],
+                         ids=["ac-table", "ball-central"])
+def test_workload_outputs_match_reference(monkeypatch, tmp_path, name, leaves):
+    """The workload's set-up and its unit 0 at seed 0, checked by the
+    workload itself against reference.json: one check per reference leaf."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+        reference = json.loads((PERFBENCH / "reference.json").read_text())
+        workload = workloads.WORKLOADS[name](0, str(tmp_path), reference[name])
+        checks = workloads.Checks()
+        state = workload.setup(workloads.NoTrace())
+        checks.against("set-up", workload.observe_setup(state), workload.reference["setup"])
+        out = workload.unit(state, workloads.NoTrace(), 0)
+        workload.check_unit(workload.observe(out), 0, checks)
+    finally:
+        for module in ("workloads", "tracing"):
+            sys.modules.pop(module, None)
+    assert checks.attempted == leaves and checks.failures == []
 
 
 def test_ac_table_replay_rows_match_ac_profile(monkeypatch, tmp_path):
