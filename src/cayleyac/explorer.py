@@ -9,8 +9,11 @@ once; new elements are inserted in key order.  Balls and all their
 witnesses are therefore reproducible bit for bit across runs.  A ball
 indexes its elements by value.  Records are added in bulk, one level at a
 time.  A cache file is checked record by record for its framing and its
-length, parent and generator fields before any key decodes, and a key that
-does not decode refuses the file.
+length, parent and generator fields, then read by replaying its parent
+edges: each record is the product of an earlier one and a generator, and a
+stored key that is not the key of that product, out of key order in its
+sphere, a weight that does not follow its parent edge, or an element held
+twice refuses the file.
 
 Sphere pairs, inside paths and witness checks read one integer-indexed
 Cayley graph per ball (``Ball.graph``), grown a sphere at a time with each
@@ -245,12 +248,17 @@ class Ball:
 
     @classmethod
     def from_bytes(cls, data: bytes, group: GroupInterface) -> "Ball":
-        """Decode a ball written by ``to_bytes``.  Raises ValueError when the
-        data is truncated or over-long, of another format version, with a
-        last header byte other than 1, for a generating set of another size,
-        or with a record whose length, parent or generator no ball has
-        (``_check_fields``), all checked before the first key decodes, or
-        for a key that does not decode."""
+        """Read a ball written by ``to_bytes``, replaying its parent edges:
+        record 0 is the identity, and each later record the product of its
+        parent's element and its generator, the product ``build_ball`` made.
+        Raises ValueError when the data is truncated or over-long, of
+        another format version, with a last header byte other than 1, for a
+        generating set of another size, or with a record whose length,
+        parent or generator no ball has (``_check_fields``), all checked
+        before the first product; then for a stored key that is not the key
+        of the element its parent edge reaches, a key not above the one
+        before it in its sphere, a weight other than its parent's plus its
+        generator's, or an element held twice."""
         if data[:4] != _MAGIC:
             raise ValueError("not a ball cache file")
         if len(data) < 17:
@@ -263,7 +271,7 @@ class Ball:
         if genc != len(group.alphabet.names):
             raise ValueError(f"cache has {genc} generators, the group has "
                              f"{len(group.alphabet.names)}")
-        # the framing of every record is checked before any key decodes
+        # the framing of every record is checked before any product
         keys: list[bytes] = []
         key_ends: list[int] = []
         pos, size = 17, len(data)
@@ -281,12 +289,29 @@ class Ball:
             raise ValueError(f"{size - pos} bytes after the last ball cache record")
         fields = list(map(_RECORD.unpack_from, itertools.repeat(data, count), key_ends))
         _check_fields(fields, radius, genc)
-        elements = list(map(group.decode_key, keys))
         ball = cls(group, radius)
-        ball._extend(elements, keys,
-                     [length for length, _, _, _ in fields],
-                     [(parent, gen) for _, parent, gen, _ in fields],
-                     [weight for _, _, _, weight in fields])
+        images = [group.generator_images[name] for name in ball.gen_names]
+        gweights = [group.generator_weight(name) for name in ball.gen_names]
+        multiply, key_of = group.multiply, group.key
+        lengths = [length for length, _, _, _ in fields]
+        weights = [weight for _, _, _, weight in fields]
+        # the identity, then each record the product its parent edge names
+        elements = [group.identity]
+        if key_of(elements[0]) != keys[0]:
+            raise ValueError("ball cache record 0 holds another key than the identity's")
+        for i in range(1, count):
+            _, parent, gen, weight = fields[i]
+            elem = multiply(elements[parent], images[gen])
+            key = keys[i]
+            if (key_of(elem) != key or weight != weights[parent] + gweights[gen]
+                    or key <= keys[i - 1] and lengths[i - 1] == lengths[i]):
+                raise ValueError(f"ball cache record {i} is not the product its "
+                                 "parent edge names, in key order and weight")
+            elements.append(elem)
+        ball._extend(elements, keys, lengths,
+                     [(parent, gen) for _, parent, gen, _ in fields], weights)
+        if len(ball.index) != count:
+            raise ValueError("ball cache holds an element twice")
         ball._recompute_offsets()
         return ball
 
@@ -299,10 +324,11 @@ class Ball:
 def _check_fields(fields: list, radius: int, genc: int) -> None:
     """ValueError unless the records' (length, parent, generator, weight)
     fields are those of a ball ``build_ball`` could write: record 0 is the
-    identity's, of length 0 with parent (-1, -1); lengths never decrease
-    nor exceed the radius; and every later record's parent is an earlier
-    record one sphere closer, reached by a generator index in [0, genc)."""
-    if not fields or fields[0][:3] != (0, -1, -1):
+    identity's, of length 0 with parent (-1, -1) and weight 0; lengths
+    never decrease nor exceed the radius; and every later record's parent
+    is an earlier record one sphere closer, reached by a generator index in
+    [0, genc)."""
+    if not fields or fields[0] != (0, -1, -1, 0):
         raise ValueError("ball cache record 0 is not the identity's")
     lengths = [length for length, _, _, _ in fields]
     if lengths[-1] > radius:
@@ -361,8 +387,8 @@ def build_ball(group: GroupInterface, radius: int) -> Ball:
 
 def cached_ball(group: GroupInterface, radius: int, cache_dir: Optional[str] = None) -> Ball:
     """Build a ball, reusing and refreshing the disk cache when a directory
-    is configured.  A cache file that does not decode, or whose header
-    holds another radius, is rebuilt."""
+    is configured.  A cache file that ``Ball.read`` refuses, or whose
+    header holds another radius, is rebuilt."""
     if cache_dir is None:
         return build_ball(group, radius)
     os.makedirs(cache_dir, exist_ok=True)

@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 from .convexity import PreconditionViolated
 from .dehn import QuasiConstants, close_dehn_with_charges, d_reduce_with_charges
-from .groups import GroupInterface, pack_ints, unpack_ints
+from .groups import GroupInterface, pack_ints
 from .surface import SurfaceElement
 from .words import Word, word_inverse
 
@@ -214,11 +214,6 @@ class CentralExtension(GroupInterface):
 
     def key(self, elem: ExtElement) -> bytes:
         return pack_ints(elem.avec) + self.base.key(elem.base)
-
-    def decode_key(self, key: bytes) -> ExtElement:
-        avec = unpack_ints(key[: 8 * self.rank], self.rank)
-        base_elem = self.base.decode_key(key[8 * self.rank:])
-        return ExtElement(avec, base_elem)
 
     def fingerprint(self) -> str:
         charge_desc = sorted((" ".join(r), list(c)) for r, c in self.charges.items())

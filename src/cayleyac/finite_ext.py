@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .groups import GroupInterface, pack_ints, unpack_ints
+from .groups import GroupInterface, pack_ints
 from .nil import (NilElement, NilGenSet, NilGroup, SaturationSpec,
                   nil_commutator, nil_invert, nil_multiply, nil_power)
 from .words import Alphabet, Word
@@ -171,10 +171,6 @@ class FiniteNilExtension(GroupInterface):
         (a, b, t), q = elem
         return pack_ints((a, b, t, q))
 
-    def decode_key(self, key: bytes) -> FEElement:
-        a, b, t, q = unpack_ints(key, 4)
-        return ((a, b, t), q)
-
     def generator_weight(self, name: str) -> int:
         return 1 if name.startswith("z") else 0
 
@@ -281,10 +277,6 @@ class WallpaperQuotient(GroupInterface):
     def key(self, elem) -> bytes:
         (a, b), q = elem
         return pack_ints((a, b, q))
-
-    def decode_key(self, key: bytes):
-        a, b, q = unpack_ints(key, 3)
-        return ((a, b), q)
 
     def fingerprint(self) -> str:
         return self.word_fingerprint(f"wallpaper of {self.ext.fingerprint()}")

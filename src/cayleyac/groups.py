@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import abc
 import hashlib
-import struct
 from typing import Any, Mapping, Sequence
 
 from .words import Alphabet, Word, UnknownSymbol, free_reduce, word_inverse
@@ -23,20 +22,6 @@ def pack_ints(values: Sequence[int]) -> bytes:
     return out
 
 
-_UNPACKERS: dict = {}  # count -> the unpack of its compiled format
-
-
-def unpack_ints(key: bytes, count: int) -> tuple[int, ...]:
-    """The ``count`` integers ``pack_ints`` wrote, in one unpack of a format
-    compiled once per count; ValueError for a key of another length."""
-    if len(key) != 8 * count:
-        raise ValueError(f"a key of {count} integers has {8 * count} bytes, not {len(key)}")
-    unpack = _UNPACKERS.get(count)
-    if unpack is None:
-        unpack = _UNPACKERS[count] = struct.Struct(f">{count}Q").unpack
-    return tuple([v - (1 << 62) for v in unpack(key)])
-
-
 class GroupInterface(abc.ABC):
     """Contract every concrete group implements: pure, immutable elements
     that hash by value, and one injective byte key per element.
@@ -44,8 +29,9 @@ class GroupInterface(abc.ABC):
     Each group element has exactly one representation, so ``==`` on
     elements is group equality and the only element comparison; word groups
     keep normal forms.  ``key`` serializes an element, so it depends only on
-    the element; balls are ordered and stored by it, and ``decode_key``
-    inverts it."""
+    the element; balls are ordered and stored by it.  Nothing decodes a
+    key: a ball cache is read by replaying its parent edges through
+    ``multiply`` and comparing each product's key with the stored one."""
 
     alphabet: Alphabet
 
@@ -65,9 +51,6 @@ class GroupInterface(abc.ABC):
 
     @abc.abstractmethod
     def key(self, elem: Any) -> bytes: ...
-
-    def decode_key(self, key: bytes) -> Any:
-        raise NotImplementedError(f"{type(self).__name__} cannot decode keys")
 
     def evaluate(self, word: Sequence[str]) -> Any:
         """Fold of ``multiply`` over generator images; empty word -> identity."""
@@ -134,9 +117,6 @@ class IntegerLattice(GroupInterface):
     def key(self, elem):
         return pack_ints(elem)
 
-    def decode_key(self, key):
-        return unpack_ints(key, self.rank)
-
     def fingerprint(self):
         return self.word_fingerprint(f"lattice rank={self.rank}")
 
@@ -169,9 +149,6 @@ class FreeGroup(GroupInterface):
     def key(self, elem: Word) -> bytes:
         return encode_word(elem, self.alphabet)
 
-    def decode_key(self, key: bytes) -> Word:
-        return decode_word(key, self.alphabet)
-
     def fingerprint(self):
         return self.word_fingerprint(f"free rank={self.rank}")
 
@@ -183,14 +160,6 @@ def encode_word(word: Sequence[str], alphabet: Alphabet) -> bytes:
         for letter in word:
             alphabet.index(letter)  # UnknownSymbol for the first unknown letter
         raise
-
-
-def decode_word(key: bytes, alphabet: Alphabet) -> Word:
-    names = alphabet.names
-    try:
-        return tuple([names[i] for i in key])
-    except IndexError:
-        raise ValueError(f"letter index {max(key)} outside the alphabet") from None
 
 
 def check_group_axioms(group: GroupInterface, elements, trials: int = 100, rng=None) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groups import GroupInterface, pack_ints, unpack_ints
+from .groups import GroupInterface, pack_ints
 
 NilElement = tuple[int, int, int]
 
@@ -182,10 +182,6 @@ class NilGroup(GroupInterface):
 
     def key(self, elem) -> bytes:
         return pack_ints(elem)
-
-    def decode_key(self, key: bytes) -> NilElement:
-        a, b, t = unpack_ints(key, 3)
-        return (a, b, t)
 
     def generator_weight(self, name: str) -> int:
         # pure central letters carry weight so witnesses minimize z usage

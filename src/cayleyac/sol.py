@@ -3,7 +3,7 @@ as the negative control for the convexity profiles."""
 
 from __future__ import annotations
 
-from .groups import GroupInterface, pack_ints, unpack_ints
+from .groups import GroupInterface, pack_ints
 from .words import Alphabet
 
 SolElement = tuple[tuple[int, int], int]
@@ -60,10 +60,6 @@ class SolLattice(GroupInterface):
     def key(self, elem: SolElement) -> bytes:
         (a, b), n = elem
         return pack_ints((a, b, n))
-
-    def decode_key(self, key: bytes) -> SolElement:
-        a, b, n = unpack_ints(key, 3)
-        return ((a, b), n)
 
     def fingerprint(self) -> str:
         return self.word_fingerprint(f"sol {self.matrix}")

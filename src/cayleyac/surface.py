@@ -4,8 +4,7 @@ An element is the shortlex-least word that spells it, under the alphabet
 order a1 a1- b1 b1- a2 ...: its normal form, which is a geodesic.  So ``==``
 on elements is group equality, and a key (the word) depends only on the
 element.  A product appends the words and rewrites the result with a
-shortlex rewriting system (``ShortlexRewriting``); a key decodes only to a
-word that is its own normal form.
+shortlex rewriting system (``ShortlexRewriting``).
 
 Surface groups are shortlex automatic (Epstein et al., *Word Processing in
 Groups*, 1992), but their shortlex systems are infinite: completion from the
@@ -22,7 +21,7 @@ import itertools
 from typing import Optional
 
 from .dehn import _rotations, close_dehn, surface_alphabet, surface_relator
-from .groups import GroupInterface, encode_word, decode_word
+from .groups import GroupInterface, encode_word
 from .words import Alphabet, Word, word_inverse
 
 
@@ -74,22 +73,6 @@ class ShortlexRewriting:
         if len(word) > self.capacity:
             self._grow(len(word))
         return self._rewrite(word, start, applied)
-
-    def is_normal(self, word: Word) -> bool:
-        """Whether word is its own normal form: no left-hand side ends at
-        any of its letters."""
-        if len(word) > self.capacity:
-            self._grow(len(word))
-        trie = self._trie
-        for end in range(len(word)):
-            node = trie
-            for i in range(end, -1, -1):
-                node = node.get(word[i])
-                if node.__class__ is not dict:
-                    break
-            if node.__class__ is tuple:
-                return False
-        return True
 
     def _rewrite(self, word, start, applied) -> Word:
         trie = self._trie
@@ -220,14 +203,6 @@ class SurfaceGroup(GroupInterface):
 
     def key(self, elem: SurfaceElement) -> bytes:
         return encode_word(elem.word, self.alphabet)
-
-    def decode_key(self, key: bytes) -> SurfaceElement:
-        """The key's word; ValueError for a word that is not its own normal
-        form, which no key of an element is."""
-        word = decode_word(key, self.alphabet)
-        if not self.rewriting.is_normal(word):
-            raise ValueError(f"key word {' '.join(word)} is not in normal form")
-        return SurfaceElement(word)
 
     def fingerprint(self) -> str:
         return self.word_fingerprint(f"surface genus={self.genus}")

@@ -285,15 +285,6 @@ class TriangleGroup(GroupInterface):
         # coefficients keep the "numerator/denominator" form of the key format
         return ";".join(",".join(f"{c}/1" for c in entry) for entry in elem).encode()
 
-    def decode_key(self, key: bytes):
-        entries = [part.split(",") for part in key.decode().split(";")]
-        if len(entries) != 9 or any(len(e) != self.field.degree for e in entries):
-            raise ValueError("a triangle key holds 9 entries of "
-                             f"{self.field.degree} coefficients")
-        if not all(c.endswith("/1") for entry in entries for c in entry):
-            raise ValueError("triangle key coefficients must have denominator 1")
-        return tuple(tuple(int(c[:-2]) for c in entry) for entry in entries)
-
     def fingerprint(self) -> str:
         p, q, r = self.orders
         return self.word_fingerprint(f"triangle {p},{q},{r}")

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import os
 import struct
+import time
 
 import pytest
 
@@ -12,11 +13,12 @@ from cayleyac.explorer import (UNKNOWN, Ball, ElementAbsent, RadiusUnavailable,
                                inside_path, sphere_pair_counts, sphere_pairs)
 from cayleyac.extensions import CentralExtension
 from cayleyac.finite_ext import FiniteNilExtension, klein_bottle_config
-from cayleyac.groups import FreeGroup, IntegerLattice, encode_word
+from cayleyac.groups import FreeGroup, GroupInterface, IntegerLattice, encode_word, pack_ints
 from cayleyac.nil import NilGenSet, NilGroup
 from cayleyac.sol import SolLattice
 from cayleyac.surface import SurfaceGroup
 from cayleyac.triangle import TriangleGroup
+from cayleyac.words import Alphabet
 
 
 def test_lattice_ball_count():
@@ -469,17 +471,32 @@ def test_cache_rejects_damaged_files(nil_xy, surface2):
     ball = build_ball(nil_xy, 3)
     data = ball.to_bytes()
     last, sphere2 = len(ball) - 1, ball.sphere(2).start
+    count = int.from_bytes(data[10:14], "big")
+    last_record = data[len(data) - len(ball.keys[last]) - 18:]
+    size = len(last_record)
+    swapped = data[: -2 * size] + last_record + data[-2 * size : -size]
+    gen = ball.parents[sphere2][1]
     # the next cases: format version 9, and a header flag byte of 0; then
     # fields no ball has: an identity record of length 1 or with parent
     # (0, 0), a last length past the radius, a parent or generator index out
     # of range, parent -1 past record 0, a sphere-2 parent in sphere 0, and
-    # a length that decreases, with a parent one sphere closer
+    # a length that decreases, with a parent one sphere closer; then fields
+    # a ball could have but this one has not: another generator in range on
+    # a parent edge, a weight of 7 that no parent edge gives, the identity's
+    # weight 1 in B(0), the last record held twice, with the count raised,
+    # the last two records (of the last sphere, so with no children)
+    # swapped, and sphere-3 record 27 replaced in key order by sphere-1
+    # record 1, reached from sphere-2 record 5 by generator 0
     for bad in (data[:10], data[:17], data[: len(data) // 2], data[:-1], data + b"\0",
                 data[:4] + b"\0\x09" + data[6:], data[:16] + b"\0" + data[17:],
                 _refield(data, 0, length=1), _refield(data, 0, parent=0, gen=0),
                 _refield(data, last, length=4), _refield(data, 1, parent=len(ball)),
                 _refield(data, 1, gen=4), _refield(data, sphere2, parent=-1),
-                _refield(data, sphere2, parent=0), _refield(data, sphere2 + 1, length=1, parent=0)):
+                _refield(data, sphere2, parent=0), _refield(data, sphere2 + 1, length=1, parent=0),
+                _refield(data, sphere2, gen=(gen + 1) % 4), _refield(data, 5, weight=7),
+                _refield(build_ball(nil_xy, 0).to_bytes(), 0, weight=1), swapped,
+                data[:10] + (count + 1).to_bytes(4, "big") + data[14:] + last_record,
+                _rekey(_refield(data, 27, parent=5, gen=0), 27, lambda _: ball.keys[1])):
         with pytest.raises(ValueError):
             Ball.from_bytes(bad, nil_xy)
     with pytest.raises(ValueError):
@@ -572,16 +589,21 @@ def test_central_cache_read_into_a_group_with_history():
     (lambda: TriangleGroup(2, 3, 7), lambda key: key + b",0/1"),
     (lambda: IntegerLattice(2), lambda key: key[:8]),
     (lambda: NilGroup(1, NilGenSet("square")), lambda key: key + b"\0"),
+    (lambda: NilGroup(1, NilGenSet("square")), lambda key: key[:-1] + bytes([key[-1] ^ 1])),
     (lambda: SolLattice(((2, 1), (1, 1))), lambda key: key + b"\0"),
     (lambda: FiniteNilExtension(klein_bottle_config()), lambda key: key + b"\0"),
     (lambda: FiniteNilExtension(klein_bottle_config()).quotient(), lambda key: key + b"\0"),
     (lambda: _central_extension(), lambda key: key[4:]),
+    (lambda: SurfaceGroup(2), lambda key: encode_word(("a1",) * 120, SurfaceGroup(2).alphabet)),
 ], ids=["triangle_8_entries", "triangle_extra_coefficient", "lattice_8_bytes",
-        "heisenberg_stray_byte", "sol_stray_byte", "klein_stray_byte",
-        "wallpaper_stray_byte", "central_short_vector"])
+        "heisenberg_stray_byte", "heisenberg_flipped_byte", "sol_stray_byte",
+        "klein_stray_byte", "wallpaper_stray_byte", "central_short_vector",
+        "surface_long_normal_form"])
 def test_cache_with_malformed_key_is_rebuilt(tmp_path, make, rekey):
-    """A key of the wrong shape does not decode, so the cache file holding
-    it is rebuilt instead of loading a malformed element."""
+    """A key that is not the key of the element its parent edge reaches,
+    of the wrong shape or of another element, refuses the cache file within
+    0.5 s of CPU time, whatever the key's length, and the file is rebuilt
+    instead of loading a wrong element."""
     group = make()
     cached_ball(group, 3, cache_dir=str(tmp_path))
     (name,) = os.listdir(tmp_path)
@@ -590,8 +612,10 @@ def test_cache_with_malformed_key_is_rebuilt(tmp_path, make, rekey):
         data = fh.read()
     with open(path, "wb") as fh:
         fh.write(_rekey(data, 1, rekey))
+    start = time.process_time()
     with pytest.raises(ValueError):
         Ball.read(path, group)
+    assert time.process_time() - start < 0.5
     rebuilt = cached_ball(group, 3, cache_dir=str(tmp_path))
     assert rebuilt.to_bytes() == build_ball(make(), 3).to_bytes()
 
@@ -621,8 +645,9 @@ def test_ball_bytes_pinned(make, radius, digest):
     "lattice", "free", "nil_hex", "sol", "klein", "s2222", "surface2", "central", "triangle",
 ])
 def test_key_contract(request, family):
-    """Keys decode to equal, equally hashed elements that the ball locates
-    at their own index, and increase strictly inside each sphere."""
+    """A ball read back from its bytes holds equal, equally hashed
+    elements, which the built ball locates at their own index; each key is
+    its element's, and keys increase strictly inside each sphere."""
     if family == "lattice":
         group = IntegerLattice(2)
     elif family == "free":
@@ -636,8 +661,9 @@ def test_key_contract(request, family):
     else:
         group = request.getfixturevalue(family)
     ball = build_ball(group, 2)
+    read = Ball.from_bytes(ball.to_bytes(), group)
     for i, key in enumerate(ball.keys):
-        elem = group.decode_key(key)
+        elem = read.elements[i]
         assert elem == ball.elements[i]
         assert hash(elem) == hash(ball.elements[i])
         assert group.key(ball.elements[i]) == key
@@ -645,3 +671,42 @@ def test_key_contract(request, family):
     for n in range(3):
         keys = [ball.keys[i] for i in ball.sphere(n)]
         assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+class _CyclicTimesZ(GroupInterface):
+    """Z/5 x Z with only the abstract methods of the group contract."""
+
+    def __init__(self):
+        self.alphabet = Alphabet(["r", "s"])
+        self._images = {"r": (1, 0), "r-": (4, 0), "s": (0, 1), "s-": (0, -1)}
+
+    @property
+    def identity(self):
+        return (0, 0)
+
+    def multiply(self, u, v):
+        return ((u[0] + v[0]) % 5, u[1] + v[1])
+
+    def invert(self, u):
+        return (-u[0] % 5, -u[1])
+
+    @property
+    def generator_images(self):
+        return self._images
+
+    def key(self, elem):
+        return pack_ints(elem)
+
+    def fingerprint(self):
+        return self.word_fingerprint("Z/5 x Z")
+
+
+def test_cache_round_trip_needs_only_the_group_contract(tmp_path):
+    """A group with no more than the abstract methods reads its cache back:
+    a read replays products and compares keys, and decodes none."""
+    group = _CyclicTimesZ()
+    ball = cached_ball(group, 3, cache_dir=str(tmp_path))
+    again = cached_ball(group, 3, cache_dir=str(tmp_path))
+    assert again is not ball and again.elements == ball.elements
+    assert again.to_bytes() == ball.to_bytes() == build_ball(group, 3).to_bytes()
+    assert ball.sphere_sizes() == [1, 4, 8, 10]

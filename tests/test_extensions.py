@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cayleyac.dehn import d_reduce_with_charges, is_d_reduced
-from cayleyac.explorer import ElementAbsent, build_ball, sphere_pairs
+from cayleyac.explorer import Ball, ElementAbsent, build_ball, sphere_pairs
 from cayleyac.extensions import (CentralExtension, ExtElement, MissingCentralGenerator,
                                  PreconditionViolated, central_witness_path)
 from cayleyac.words import word_inverse
@@ -222,17 +222,19 @@ def test_fingerprint_hashes_every_charge(surface2):
 
 def test_central_ball_invariants(genus2_ext):
     """Over the genus-2 central B(4): base words are D-reduced normal forms
-    and keys round-trip to equal, equally hashed elements, which the ball
-    locates at their own index; distinct elements have distinct keys; a
-    central letter multiplies, without rewriting, into the element the
-    charged reduction gives; and two base words for one base element
-    evaluate to elements that differ by the relator's charge."""
+    and the ball read back from its bytes holds equal, equally hashed
+    elements, which the ball locates at their own index; distinct elements
+    have distinct keys; a central letter multiplies, without rewriting,
+    into the element the charged reduction gives; and two base words for
+    one base element evaluate to elements that differ by the relator's
+    charge."""
     ball = build_ball(genus2_ext, 4)
     base = genus2_ext.base
+    read = Ball.from_bytes(ball.to_bytes(), genus2_ext)
     for i, elem in enumerate(ball.elements):
         assert is_d_reduced(elem.base.word, genus2_ext.dehn)
         assert base.rewriting.rewrite(elem.base.word) == elem.base.word
-        back = genus2_ext.decode_key(genus2_ext.key(elem))
+        back = read.elements[i]
         assert back == elem and hash(back) == hash(elem)
         assert ball.locate(back) == i
     assert len(set(ball.keys)) == len(ball)

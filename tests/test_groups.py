@@ -2,29 +2,34 @@ import random
 
 import pytest
 
+from cayleyac.explorer import Ball, build_ball
 from cayleyac.groups import (FreeGroup, IntegerLattice, check_group_axioms,
-                             decode_word, encode_word, pack_ints, unpack_ints)
+                             encode_word, pack_ints)
 from cayleyac.words import Alphabet, UnknownSymbol
 
 
-def test_pack_ints_round_trip_and_order():
+def test_pack_ints_order_and_range():
     rng = random.Random(50)
     values = [tuple(rng.randrange(-10 ** 9, 10 ** 9) for _ in range(3)) for _ in range(200)]
-    for v in values:
-        assert unpack_ints(pack_ints(v), len(v)) == v
-    packed = sorted(pack_ints(v) for v in values)
-    assert [unpack_ints(p, 3) for p in packed] == sorted(values)
-    for key in (pack_ints((1, 2)) + b"\0", pack_ints((1, 2))[1:]):
-        with pytest.raises(ValueError):
-            unpack_ints(key, 2)
-    with pytest.raises(OverflowError):
-        pack_ints((1 << 63,))
+    assert all(len(pack_ints(v)) == 24 for v in values)
+    assert len(set(map(pack_ints, values))) == len(set(values))
+    assert sorted(values, key=pack_ints) == sorted(values)
+    assert pack_ints((-(1 << 62), (1 << 62) - 1)) == bytes(8) + b"\x7f" + b"\xff" * 7
+    for v in (1 << 62, -(1 << 62) - 1, 1 << 63):
+        with pytest.raises(OverflowError):
+            pack_ints((v,))
 
 
 def test_word_codec():
+    """A word's key is its letters' alphabet indices, and a free-group
+    ball read back from its bytes holds the built ball's words."""
     a = Alphabet(["x", "y"])
-    w = ("x", "y-", "x-")
-    assert decode_word(encode_word(w, a), a) == w
+    assert encode_word(("x", "y-", "x-"), a) == bytes([0, 3, 1])
+    with pytest.raises(UnknownSymbol):
+        encode_word(("x", "z"), a)
+    group = FreeGroup(2)
+    ball = build_ball(group, 3)
+    assert Ball.from_bytes(ball.to_bytes(), group).elements == ball.elements
 
 
 def test_lattice_axioms():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cayleyac.dehn import d_reduce, is_d_reduced
-from cayleyac.explorer import build_ball
+from cayleyac.explorer import Ball, build_ball
 from cayleyac.groups import FreeGroup, IntegerLattice, encode_word
 from cayleyac.sol import SolLattice
 from cayleyac.surface import SurfaceGroup
@@ -98,23 +98,29 @@ def test_inverse_and_associativity(surface2):
 
 def test_ball_words_d_reduced_and_keys_round_trip(surface2, surface_ball5):
     """Every word of B(5) is D-reduced and its own normal form, of the
-    length of its sphere.  Keys decode to the element, hashed alike, on the
-    instance that built the ball and on a fresh one."""
-    fresh = SurfaceGroup(2)
-    for elem, key, length in zip(surface_ball5.elements, surface_ball5.keys,
-                                 surface_ball5.lengths):
+    length of its sphere.  The ball read back from its bytes holds each
+    element, hashed alike, on the instance that built the ball and on a
+    fresh one."""
+    data = surface_ball5.to_bytes()
+    reads = [Ball.from_bytes(data, group) for group in (SurfaceGroup(2), surface2)]
+    for i, (elem, length) in enumerate(zip(surface_ball5.elements, surface_ball5.lengths)):
         assert is_d_reduced(elem.word, surface2.dehn)
         assert surface2.rewriting.rewrite(elem.word) == elem.word
         assert len(elem.word) == length
-        for group in (fresh, surface2):
-            back = group.decode_key(key)
+        for read in reads:
+            back = read.elements[i]
             assert back == elem and hash(back) == hash(elem)
 
 
-def test_decode_key_rejects_words_that_are_not_d_reduced():
+def test_cache_refuses_a_key_word_that_is_not_d_reduced(surface_ball5):
+    """The last record of B(5) holds a 5-letter key, the file's last 21
+    bytes but the 16 of its fields; five letters of the relator, which are
+    not D-reduced, in its place refuse the file."""
     group = SurfaceGroup(2)
+    data = surface_ball5.to_bytes()
+    bad = data[:-21] + encode_word(group.relator[:5], group.alphabet) + data[-16:]
     with pytest.raises(ValueError):
-        group.decode_key(encode_word(group.relator[:5], group.alphabet))
+        Ball.from_bytes(bad, group)
 
 
 def _growth_series(genus, terms):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cayleyac.dehn import close_dehn
-from cayleyac.explorer import build_ball
+from cayleyac.explorer import Ball, build_ball
 from cayleyac.triangle import (CosField, TriangleGroup, _mat_inverse, _mat_mul,
                                cyclotomic_polynomial, real_minimal_polynomial)
 
@@ -59,13 +59,15 @@ def test_triangle_rejects_spherical():
 
 def test_triangle_ball_and_keys(triangle237, triangle_ball):
     assert triangle_ball.sphere_sizes()[0:3] == [1, 3, 4]
-    # keys decode back to equal matrices
-    for idx in (0, 1, 5, len(triangle_ball) - 1):
-        key = triangle_ball.keys[idx]
-        assert triangle237.decode_key(key) == triangle_ball.elements[idx]
-    # the ring is integral, so a key with another denominator is damaged
+    # the ball read back from its bytes holds equal matrices
+    data = triangle_ball.to_bytes()
+    assert Ball.from_bytes(data, triangle237).elements == triangle_ball.elements
+    # the ring is integral, so a key of record 1 with another denominator,
+    # past the 17-byte header and the identity's record, is damaged
+    record1 = 17 + 2 + len(triangle_ball.keys[0]) + 16
+    bad = data[:record1] + data[record1:].replace(b"/1", b"/2", 1)
     with pytest.raises(ValueError):
-        triangle237.decode_key(triangle_ball.keys[1].replace(b"/1", b"/2", 1))
+        Ball.from_bytes(bad, triangle237)
 
 
 def test_triangle_inverse_exact(triangle237):
