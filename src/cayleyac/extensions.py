@@ -1,12 +1,14 @@
 """Central extensions of surface groups.
 
 The cocycle is never materialized: an element is a pair (central vector,
-base element), and the base element is the normal form of a surface group
-(see ``surface``), so ``==`` on elements is group equality and a key depends
-only on the element.  A product appends the base words and rewrites them
-with the base group's shortlex system; each rule l -> r it applies deposits
-its charge, the central vector that ``d_reduce_with_charges`` consumes in
-reducing l r^-1 to the empty word, worked out once per rule.  A factor with
+base element), and the base element is the normal form of a surface group,
+held as the bytes of its letter indices (see ``surface``).  So ``==`` on
+elements is group equality, and the key, the packed vector followed by
+those bytes, depends only on the element.  A product appends the base words
+and rewrites them with the base group's shortlex system; each rule l -> r
+it applies deposits its charge, the central vector that
+``d_reduce_with_charges`` consumes in reducing l r^-1 to the empty word,
+worked out once per rule from the rule's letter names.  A factor with
 an empty base word (a central letter) only adds its vector.  The generating
 set consists of the base letters and a central alphabet assembled from the
 relator charges, a budgeted short-word enumeration, and a certified
@@ -46,10 +48,10 @@ class ExtElement:
                 and self.avec == other.avec and self.base == other.base)
 
     def __hash__(self):
-        # base elements compare by word, so hashing the word agrees with ==
+        # base elements compare by their bytes, so hashing those agrees with ==
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.avec, self.base.word))
+            h = self._hash = hash((self.avec, self.base.code))
         return h
 
     def __repr__(self):
@@ -96,7 +98,8 @@ class CentralExtension(GroupInterface):
             if len(charge) != rank:
                 raise ValueError("charge rank mismatch")
         self.dehn, self.charges = close_dehn_with_charges(base_rels, base.alphabet)
-        self._rule_charges: dict[Word, tuple[int, ...]] = {}  # rule lhs -> charge
+        self._rule_charges: dict[bytes, tuple[int, ...]] = {}  # rule lhs -> charge
+        self._packed: dict[tuple[int, ...], bytes] = {}  # central vector -> pack_ints(vector)
 
         self._identity = ExtElement(self._zero, base.identity)
         self._images: dict[str, ExtElement] = {
@@ -149,7 +152,7 @@ class CentralExtension(GroupInterface):
             # flagged partial on overflow
             visited = 0
             frontier_elems = [self._identity]
-            keys = {(self._identity.avec, self._identity.base.word)}
+            keys = {(self._identity.avec, self._identity.base.code)}
             depth = 0
             while frontier_elems and depth < length_bound and not truncated:
                 depth += 1
@@ -158,12 +161,12 @@ class CentralExtension(GroupInterface):
                     for name in self.base.alphabet.names:
                         child = self.multiply(elem, self._images[name])
                         visited += 1
-                        rk = (child.avec, child.base.word)
+                        rk = (child.avec, child.base.code)
                         if rk in keys:
                             continue
                         keys.add(rk)
                         nxt_elems.append(child)
-                        if not child.base.word and any(child.avec):
+                        if not child.base.code and any(child.avec):
                             values.add(child.avec)
                     if visited > budget:
                         truncated = True
@@ -177,43 +180,46 @@ class CentralExtension(GroupInterface):
     def identity(self) -> ExtElement:
         return self._identity
 
-    def _rewrite(self, avec: tuple[int, ...], word: Word, start: int = 0) -> ExtElement:
-        """The element (avec, word) with word rewritten to its normal form,
-        whose prefix word[:start] is one, and the charges of the rules
-        applied added to avec."""
-        applied: list[Word] = []
-        word = self.base.rewriting.rewrite(word, start, applied)
+    def _rewrite(self, avec: tuple[int, ...], code: bytes, start: int = 0) -> ExtElement:
+        """The element (avec, code) with the base word code rewritten to its
+        normal form, whose prefix code[:start] is one, and the charges of
+        the rules applied added to avec."""
+        applied: list[bytes] = []
+        code = self.base.rewriting.rewrite(code, start, applied)
         for lhs in applied:
             charge = self._rule_charges.get(lhs)
             if charge is None:
-                rhs = self.base.rewriting.rules[lhs]
-                rest, charge = d_reduce_with_charges(lhs + word_inverse(rhs, self.base.alphabet),
-                                                     self.dehn, self.charges, self.rank)
+                rewriting, names = self.base.rewriting, self.base.alphabet.names
+                closed = tuple(names[i] for i in lhs + rewriting.inverse(rewriting.rules[lhs]))
+                rest, charge = d_reduce_with_charges(closed, self.dehn, self.charges, self.rank)
                 if rest:
-                    raise AssertionError(f"rule {lhs} -> {rhs} is no identity")
+                    raise AssertionError(f"rule l -> r with l r^-1 = {closed} is no identity")
                 self._rule_charges[lhs] = charge
             avec = _vec_add(avec, charge)
-        return ExtElement(avec, SurfaceElement(word))
+        return ExtElement(avec, SurfaceElement(code))
 
     def multiply(self, u: ExtElement, v: ExtElement) -> ExtElement:
-        ub, vb = u.base, v.base
+        ub, vb = u.base.code, v.base.code
         avec = u.avec if v.avec == self._zero else _vec_add(u.avec, v.avec)
-        if not vb.word:
+        if not vb:
             # v is central: no rewriting, no charge
-            return ExtElement(avec, ub)
-        return self._rewrite(avec, ub.word + vb.word, len(ub.word))
+            return ExtElement(avec, u.base)
+        return self._rewrite(avec, ub + vb, len(ub))
 
     def invert(self, u: ExtElement) -> ExtElement:
         # u's word followed by its formal inverse cancels freely, so the
         # formal inverse carries -avec before it is rewritten
-        return self._rewrite(_vec_neg(u.avec), word_inverse(u.base.word, self.base.alphabet))
+        return self._rewrite(_vec_neg(u.avec), self.base.rewriting.inverse(u.base.code))
 
     @property
     def generator_images(self):
         return self._images
 
     def key(self, elem: ExtElement) -> bytes:
-        return pack_ints(elem.avec) + self.base.key(elem.base)
+        prefix = self._packed.get(elem.avec)
+        if prefix is None:
+            prefix = self._packed[elem.avec] = pack_ints(elem.avec)
+        return prefix + elem.base.code
 
     def fingerprint(self) -> str:
         charge_desc = sorted((" ".join(r), list(c)) for r, c in self.charges.items())
@@ -268,7 +274,7 @@ class CentralExtension(GroupInterface):
                 base_letters.append(letter)
             else:
                 img = self._images[letter]
-                if img.base.word:
+                if img.base.code:
                     raise ValueError(f"letter {letter} is neither central nor base")
                 vec = _vec_add(vec, img.avec)
         return vec, tuple(base_letters)

@@ -1,9 +1,13 @@
 """Orientable surface groups, one word per element.
 
 An element is the shortlex-least word that spells it, under the alphabet
-order a1 a1- b1 b1- a2 ...: its normal form, which is a geodesic.  So ``==``
-on elements is group equality, and a key (the word) depends only on the
-element.  A product appends the words and rewrites the result with a
+order a1 a1- b1 b1- a2 ...: its normal form, which is a geodesic.  The word
+is held as the bytes of its letters' indices in that order, and those bytes
+are its key.  So ``==`` on elements is group equality, and a key depends
+only on the element.  Bytes compare as their indices do, so the shortlex
+order is the order of (length, bytes).  Every genus numbers its letters as
+a prefix of one table, ``LETTERS``, which gives an element's word of letter
+names back.  A product appends the words and rewrites the result with a
 shortlex rewriting system (``ShortlexRewriting``).
 
 Surface groups are shortlex automatic (Epstein et al., *Word Processing in
@@ -22,12 +26,17 @@ from typing import Optional
 
 from .dehn import _rotations, close_dehn, surface_alphabet, surface_relator
 from .groups import GroupInterface, encode_word
-from .words import Alphabet, Word, word_inverse
+from .words import Alphabet, Word
+
+# letter names by index; genus g uses the first 4g, one byte each
+LETTERS: tuple[str, ...] = surface_alphabet(64).names
 
 
 class ShortlexRewriting:
     """Shortlex rewriting system for one relator, by Knuth-Bendix completion
-    truncated at a bound M: overlaps longer than M are not resolved.
+    truncated at a bound M: overlaps longer than M are not resolved.  Words
+    are the bytes of their letters' alphabet indices, so the shortlex order
+    is the order of (length, bytes).
 
     Why the truncation is exact for the words rewritten.  Completion that
     resolves every overlap of length <= M joins any two words that a chain
@@ -45,27 +54,34 @@ class ShortlexRewriting:
 
     Rules are kept interreduced, so no left-hand side contains another, and
     they sit in a trie read from the end of the left-hand side, each rule a
-    leaf.  Rewriting keeps a stack that is irreducible, so a match ends at
-    the letter just pushed, and at most one does."""
+    leaf.  Rewriting reads the word in place from the first letter after its
+    normal-form prefix, and returns it as it is when no left-hand side ends
+    at any letter.  From the first letter where one does, it keeps a stack
+    that is irreducible, so a match ends at the letter just pushed, and at
+    most one does."""
 
     def __init__(self, alphabet: Alphabet, relator: Word):
         self.alphabet = alphabet
         self.relator_len = len(relator)
-        self._rank = {name: i for i, name in enumerate(alphabet.names)}
-        self._seeds = [((x, alphabet.inverse(x)), ()) for x in alphabet.names]
-        for rel in (relator, word_inverse(relator, alphabet)):
+        inverse = [alphabet.index(alphabet.inverse(x)) for x in alphabet.names]
+        # each letter's inverse letter, padded to the 256 entries of a translate table
+        self._inverse = bytes(inverse) + bytes(range(len(inverse), 256))
+        self._seeds = [(bytes((x, x_inv)), b"") for x, x_inv in enumerate(inverse)]
+        relator = encode_word(relator, alphabet)
+        for rel in (relator, self.inverse(relator)):
             for rot in _rotations(rel):
                 for cut in range(len(rot) // 2, len(rot) + 1):
-                    self._seeds.append((rot[:cut], word_inverse(rot[cut:], alphabet)))
-        self.rules: dict[Word, Word] = {}
+                    self._seeds.append((rot[:cut], self.inverse(rot[cut:])))
+        self.rules: dict[bytes, bytes] = {}
         self.bound = 0  # M
         self.capacity = -1  # L: every word this long or shorter rewrites exactly
         self._trie: dict = {}
 
-    def _order(self, word: Word):
-        return len(word), [self._rank[x] for x in word]
+    def inverse(self, word: bytes) -> bytes:
+        """The formal inverse of word."""
+        return word[::-1].translate(self._inverse)
 
-    def rewrite(self, word: Word, start: int = 0, applied: Optional[list] = None) -> Word:
+    def rewrite(self, word: bytes, start: int = 0, applied: Optional[list] = None) -> bytes:
         """The normal form of word, whose prefix word[:start] is already a
         normal form.  The left-hand side of every rule applied is appended to
         ``applied`` when one is given.  Completes the system further first
@@ -74,33 +90,47 @@ class ShortlexRewriting:
             self._grow(len(word))
         return self._rewrite(word, start, applied)
 
-    def _rewrite(self, word, start, applied) -> Word:
-        trie = self._trie
-        stack = list(word[:start])
-        pending = list(reversed(word[start:]))
-        while pending:
-            stack.append(pending.pop())
-            node = trie
-            for letter in reversed(stack):
-                node = node.get(letter)
-                if node.__class__ is not dict:
-                    break
-            if node.__class__ is tuple:
-                lhs, rhs = node
-                del stack[len(stack) - len(lhs):]
-                pending.extend(reversed(rhs))
-                if applied is not None:
-                    applied.append(lhs)
-        return tuple(stack)
+    def _match(self, word, end):
+        """The rule (lhs, rhs) whose left-hand side ends at word[end], or
+        None; word[:end] is irreducible."""
+        node = self._trie
+        while end >= 0:
+            node = node.get(word[end])
+            if node.__class__ is not dict:
+                return node
+            end -= 1
+        return None
 
-    def _add(self, lhs: Word, rhs: Word) -> None:
+    def _rewrite(self, word: bytes, start: int, applied) -> bytes:
+        match = self._match
+        for end in range(start, len(word)):
+            rule = match(word, end)
+            if rule is not None:
+                break
+        else:
+            return word
+        stack = bytearray(word[:end + 1])
+        pending = bytearray(word[:end:-1])
+        while rule is not None:
+            lhs, rhs = rule
+            del stack[len(stack) - len(lhs):]
+            pending += rhs[::-1]
+            if applied is not None:
+                applied.append(lhs)
+            rule = None
+            while rule is None and pending:
+                stack.append(pending.pop())
+                rule = match(stack, len(stack) - 1)
+        return bytes(stack)
+
+    def _add(self, lhs: bytes, rhs: bytes) -> None:
         self.rules[lhs] = rhs
         node = self._trie
         for letter in reversed(lhs[1:]):
             node = node.setdefault(letter, {})
         node[lhs[0]] = (lhs, rhs)
 
-    def _remove(self, lhs: Word) -> Word:
+    def _remove(self, lhs: bytes) -> bytes:
         path = [self._trie]
         for letter in reversed(lhs[1:]):
             path.append(path[-1][letter])
@@ -111,7 +141,7 @@ class ShortlexRewriting:
                 break
         return self.rules.pop(lhs)
 
-    def _overlaps(self, a: Word, b: Word, shortest: int):
+    def _overlaps(self, a: bytes, b: bytes, shortest: int):
         """Critical pairs of the rules a -> ra and b -> rb from a proper
         overlap of a suffix of a with a prefix of b, over words of length
         from ``shortest`` to the bound."""
@@ -139,10 +169,10 @@ class ShortlexRewriting:
             u, v = self._rewrite(u, 0, None), self._rewrite(v, 0, None)
             if u == v:
                 continue
-            if self._order(u) < self._order(v):
+            if (len(u), u) < (len(v), v):
                 u, v = v, u
             # rules whose left-hand side contains u become equations again
-            for lhs in [lhs for lhs in self.rules if len(lhs) > len(u) and _contains(lhs, u)]:
+            for lhs in [lhs for lhs in self.rules if len(lhs) > len(u) and u in lhs]:
                 heapq.heappush(heap, (len(lhs), next(count), lhs, self._remove(lhs)))
             self._add(u, v)
             for lhs in list(self.rules):
@@ -151,25 +181,25 @@ class ShortlexRewriting:
                     heapq.heappush(heap, (n, next(count), p, q))
 
 
-def _contains(word: Word, part: Word) -> bool:
-    k = len(part)
-    return any(word[i:i + k] == part for i in range(len(word) - k + 1))
-
-
 class SurfaceElement:
-    """A normal-form word; ``==`` and ``hash`` go by the word, which is group
-    equality."""
+    """A normal form, held as the bytes of its letters' indices (``code``);
+    ``==`` and ``hash`` go by the bytes, which is group equality.  ``word``
+    reads the letter names back."""
 
-    __slots__ = ("word",)
+    __slots__ = ("code",)
 
-    def __init__(self, word: Word):
-        self.word = word
+    def __init__(self, code: bytes):
+        self.code = code
+
+    @property
+    def word(self) -> Word:
+        return tuple(map(LETTERS.__getitem__, self.code))
 
     def __eq__(self, other):
-        return isinstance(other, SurfaceElement) and self.word == other.word
+        return isinstance(other, SurfaceElement) and self.code == other.code
 
     def __hash__(self):
-        return hash(self.word)
+        return hash(self.code)
 
     def __repr__(self):
         return f"SurfaceElement({' '.join(self.word) or 'e'})"
@@ -177,32 +207,34 @@ class SurfaceElement:
 
 class SurfaceGroup(GroupInterface):
     def __init__(self, genus: int = 2):
-        if genus < 2:
-            raise ValueError("hyperbolic surface groups need genus >= 2")
+        if not 2 <= genus <= len(LETTERS) // 4:
+            raise ValueError(f"surface groups here have genus 2 (hyperbolic) to "
+                             f"{len(LETTERS) // 4} (one byte per letter)")
         self.genus = genus
         self.alphabet = surface_alphabet(genus)
         self.relator = surface_relator(genus)
         self.dehn = close_dehn([self.relator], self.alphabet)
         self.rewriting = ShortlexRewriting(self.alphabet, self.relator)
-        self._identity = SurfaceElement(())
-        self._images = {name: SurfaceElement((name,)) for name in self.alphabet.names}
+        self._identity = SurfaceElement(b"")
+        self._images = {name: SurfaceElement(bytes((i,)))
+                        for i, name in enumerate(self.alphabet.names)}
 
     @property
     def identity(self) -> SurfaceElement:
         return self._identity
 
     def multiply(self, u: SurfaceElement, v: SurfaceElement) -> SurfaceElement:
-        return SurfaceElement(self.rewriting.rewrite(u.word + v.word, len(u.word)))
+        return SurfaceElement(self.rewriting.rewrite(u.code + v.code, len(u.code)))
 
     def invert(self, u: SurfaceElement) -> SurfaceElement:
-        return SurfaceElement(self.rewriting.rewrite(word_inverse(u.word, self.alphabet)))
+        return SurfaceElement(self.rewriting.rewrite(self.rewriting.inverse(u.code)))
 
     @property
     def generator_images(self):
         return self._images
 
     def key(self, elem: SurfaceElement) -> bytes:
-        return encode_word(elem.word, self.alphabet)
+        return elem.code
 
     def fingerprint(self) -> str:
         return self.word_fingerprint(f"surface genus={self.genus}")

@@ -233,7 +233,7 @@ def test_central_ball_invariants(genus2_ext):
     read = Ball.from_bytes(ball.to_bytes(), genus2_ext)
     for i, elem in enumerate(ball.elements):
         assert is_d_reduced(elem.base.word, genus2_ext.dehn)
-        assert base.rewriting.rewrite(elem.base.word) == elem.base.word
+        assert base.rewriting.rewrite(elem.base.code) == elem.base.code
         back = read.elements[i]
         assert back == elem and hash(back) == hash(elem)
         assert ball.locate(back) == i

@@ -1,13 +1,14 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from cayleyac.dehn import d_reduce, is_d_reduced
+from cayleyac.dehn import d_reduce, is_d_reduced, surface_alphabet
 from cayleyac.explorer import Ball, build_ball
-from cayleyac.groups import FreeGroup, IntegerLattice, encode_word
+from cayleyac.groups import FreeGroup, IntegerLattice, encode_word, pack_ints
 from cayleyac.sol import SolLattice
-from cayleyac.surface import SurfaceGroup
+from cayleyac.surface import LETTERS, SurfaceGroup
 from cayleyac.triangle import TriangleGroup
 from cayleyac.words import free_reduce, word_inverse
 
@@ -105,7 +106,7 @@ def test_ball_words_d_reduced_and_keys_round_trip(surface2, surface_ball5):
     reads = [Ball.from_bytes(data, group) for group in (SurfaceGroup(2), surface2)]
     for i, (elem, length) in enumerate(zip(surface_ball5.elements, surface_ball5.lengths)):
         assert is_d_reduced(elem.word, surface2.dehn)
-        assert surface2.rewriting.rewrite(elem.word) == elem.word
+        assert surface2.rewriting.rewrite(elem.code) == elem.code
         assert len(elem.word) == length
         for read in reads:
             back = read.elements[i]
@@ -166,7 +167,8 @@ def test_normal_forms_of_random_words(genus):
         normal = group.evaluate(word).word
         assert d_reduce(normal + word_inverse(word, group.alphabet), group.dehn) == ()
         assert len(normal) <= len(d_reduce(word, group.dehn))
-        assert group.rewriting.rewrite(word) == normal
+        assert group.rewriting.rewrite(encode_word(word, group.alphabet)) == group.key(
+            group.evaluate(word))
 
 
 def test_products_rewrite_without_dehn_scans():
@@ -178,3 +180,73 @@ def test_products_rewrite_without_dehn_scans():
     group.dehn.scan = lambda word: scans.append(1) or scan(word)
     build_ball(group, 4)
     assert scans == []
+
+
+def test_keys_are_the_encoded_words(surface2, surface_ball5, genus2_ext):
+    """A key is the element's word as letter-index bytes: over genus-2 B(5),
+    genus-3 B(4) and the central B(4), whose keys put the packed central
+    vector first.  The names table numbers each genus's letters as its
+    alphabet does."""
+    for genus in range(2, 7):
+        assert LETTERS[:4 * genus] == surface_alphabet(genus).names
+    genus3 = SurfaceGroup(3)
+    for group, ball in ((surface2, surface_ball5), (genus3, build_ball(genus3, 4))):
+        for elem in ball.elements:
+            assert group.key(elem) == encode_word(elem.word, group.alphabet)
+    for elem in build_ball(genus2_ext, 4).elements:
+        assert genus2_ext.key(elem) == (pack_ints(elem.avec)
+                                        + encode_word(elem.base.word, surface2.alphabet))
+
+
+def _rewrite_by_suffixes(rules, word, start):
+    """Reference rewriting: a stack that, after each letter pushed, applies
+    the rule whose left-hand side is a suffix, found by trying every rule."""
+    stack, pending, applied = bytearray(word[:start]), bytearray(word[start:][::-1]), []
+    while pending:
+        stack.append(pending.pop())
+        for lhs, rhs in rules.items():
+            if stack.endswith(lhs):
+                del stack[len(stack) - len(lhs):]
+                pending += rhs[::-1]
+                applied.append(lhs)
+                break
+    return bytes(stack), applied
+
+
+def test_rewriting_from_the_normal_prefix_is_exact(surface2):
+    """Rewriting u v from start = len(u), for a normal form u, gives the
+    word and the rules applied that rewriting from the first letter gives,
+    and that a stack trying every rule gives: for every genus-2 B(4)
+    element times each letter, and for 2,000 seeded random pairs of B(4)
+    elements."""
+    elements = build_ball(surface2, 4).elements
+    rng = random.Random(30)
+    letters = list(surface2.generator_images.values())
+    pairs = [(u, x) for u in elements for x in letters]
+    pairs += [(rng.choice(elements), rng.choice(elements)) for _ in range(2000)]
+    rewriting = surface2.rewriting
+    for u, v in pairs:
+        word = u.code + v.code
+        whole, skipped = [], []
+        normal = rewriting.rewrite(word, 0, whole)
+        assert (normal, whole) == (rewriting.rewrite(word, len(u.code), skipped), skipped)
+        assert (normal, whole) == _rewrite_by_suffixes(rewriting.rules, word, len(u.code))
+
+
+@pytest.mark.parametrize("genus, length, bound, rules, digest", [
+    (2, 6, 26, 27, "088e4d0155dae7d67b45af200d9df6093a18dc4973c2093e7b78939ba9666c00"),
+    (2, 10, 38, 31, "90f52ec19efaa69ced7f366232499e48f5e4a2571bff139c290d3d0831a97358"),
+    (3, 6, 30, 40, "6db00d59138b93865cc85d930b1b8ceea5a130672d117c902ad82e0d133fe6fc"),
+])
+def test_completion_pinned(genus, length, bound, rules, digest):
+    """Rewriting a word of L letters on a fresh group completes the system
+    to M = 3L + 4g with the rules pinned here: their count and the sha256 of
+    the sorted lines "lhs -> rhs" in letter names, joined by newlines."""
+    rewriting = SurfaceGroup(genus).rewriting
+    rewriting.rewrite(bytes(length))
+    assert rewriting.bound == bound
+    assert len(rewriting.rules) == rules
+    lines = sorted((" ".join(LETTERS[i] for i in lhs), " ".join(LETTERS[i] for i in rhs))
+                   for lhs, rhs in rewriting.rules.items())
+    text = "\n".join(f"{lhs} -> {rhs}" for lhs, rhs in lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
